@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 from .closing import (
     SearchResult,
-    _absorb,
-    _new_stats,
+    absorb,
     close_heuristic,
     close_proof_faithful,
     find_hamilton_cycle,
+    new_stats,
 )
 from .conditions import (
     ConditionReport,
@@ -36,7 +36,7 @@ from .graph import (
     validate_cycle,
     validate_path,
 )
-from .rotation import EndpointFamily, RotationStep, extend, rotate
+from .rotation import extend, layered_family, rotate
 
 ORACLE_CAP = 20
 
@@ -181,7 +181,7 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
     """
     if u == v:
         raise ValueError("endpoints must differ")
-    stats = _new_stats()
+    stats = new_stats()
     g_uv = g.with_edge(u, v)
     protected = edge_key(u, v)
     broken_log = set()
@@ -221,7 +221,7 @@ def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broke
     if mode in ("heuristic", "auto"):
         attempts.append("heuristic")
     for kind in attempts:
-        local = _new_stats()
+        local = new_stats()
         if kind == "proof_faithful":
             outcome = close_proof_faithful(
                 g_uv, spanning, protected_edge=protected, stats=local
@@ -394,7 +394,7 @@ def cycle_of_length_k(
     strip = strip_nonexpanding(g, v0, size_bound=size_bound, ratio=ratio,
                                cap=max(1, window - k))
     survivors = sorted(strip.survivors)
-    stats = _new_stats()
+    stats = new_stats()
     if len(survivors) < k:
         return KCycleResult(None, 0, strip, stats)
     for attempt in range(retries):
@@ -417,6 +417,10 @@ def cycle_of_length_k(
 # Small-vertex-aware schedule for sparse random graphs
 
 
+class _Restart(Exception):
+    """A small endpoint was met; the family restarts from the path in args[0]."""
+
+
 def small_aware_family(
     g,
     path,
@@ -435,95 +439,46 @@ def small_aware_family(
     u.  Restarts are bounded; afterwards small vertices are silently dropped.
     When a layer's neighborhood expands by less than d, a stall layer of equal
     size is allowed (sourced from the small members when any exist, so the
-    following layer is small-free).
+    following layer is small-free).  Each layer keeps up to twice its target.
     """
-    from .rotation import _pivot_candidates, _place
+    special_rotations = []  # one per restart
 
-    if total_target is None:
-        total_target = math.ceil(g.n / 3)
-    base = path
-    restarts = 0
-    special_rotations = []
-    while True:
-        fam = EndpointFamily(base=base, fixed=base.first)
-        base_pos = dict(base.pos)
-        terminal = base.last
-        fam.layers.append([terminal])
-        fam.schedule.append(1)
-        fam.chains[terminal] = None
-        fam.paths[terminal] = base
-        used = {terminal}
-        stalled = False
-        restart_path = None
-        t = 0
-        while True:
-            if len(fam.chains) >= total_target:
-                fam.stopped = "target_met"
-                break
-            if max_layers is not None and t >= max_layers:
-                fam.stopped = "max_layers"
-                break
-            t += 1
-            prev = fam.layers[-1]
-            small_prev = [v for v in prev if v in small]
-            shortfall = len(neighborhood(g, prev)) < d * len(prev)
-            if shortfall and not stalled:
-                # stall: one equal-size layer, sourced from the small members
-                # when any exist so the produced layer is small-free
-                sources = small_prev if small_prev else prev
-                target = len(prev)
-                stalled = True
-            else:
-                sources = prev
-                target = math.ceil(len(prev) * d / 3.0)
-                stalled = False
-            placed = []
-            placed_set = set()
-            for _, pivot, src in _pivot_candidates(g, base_pos, sources, used):
-                got = _place(g, fam.paths, pivot, src)
-                if got is None:
-                    continue
-                ep, new_path, step = got
-                if ep in used or ep in placed_set or ep == base.first:
-                    continue
-                if ep in small:
-                    if restarts < max_restarts:
-                        restart_path = _special_rotation(g, new_path)
-                        if restart_path is not None:
-                            special_rotations.append(ep)
-                            break
-                    continue  # drop small endpoints
-                placed_set.add(ep)
-                placed.append(
-                    (ep, new_path,
-                     RotationStep(step.pivot, step.broken_edge,
-                                  step.new_endpoint, fam.chains[src]))
-                )
-                if stats is not None:
-                    stats["rotations"] = stats.get("rotations", 0) + 1
+    def admit(ep, new_path):
+        if ep not in small:
+            return True
+        if len(special_rotations) < max_restarts:
+            restart_path = _special_rotation(g, new_path)
             if restart_path is not None:
-                break
-            if not placed:
-                fam.stopped = "empty_layer"
-                break
-            placed.sort(key=lambda item: item[0])
-            placed = placed[: 2 * target]
-            layer = []
-            for ep, new_path, step in placed:
-                layer.append(ep)
-                fam.chains[ep] = step
-                fam.paths[ep] = new_path
-                fam.broken_edges.add(step.broken_edge)
-                used.add(ep)
-            if stalled:
-                assert not any(v in small for v in layer)
-            fam.layers.append(layer)
-            fam.schedule.append(target)
-        if restart_path is None:
-            fam.special_rotations = special_rotations
-            return fam
-        restarts += 1
-        base = restart_path
+                special_rotations.append(ep)
+                raise _Restart(restart_path)
+        return False  # drop small endpoints
+
+    def schedule(t, previous):
+        nonlocal stalled
+        if not stalled and len(neighborhood(g, previous)) < d * len(previous):
+            # stall: one equal-size layer, sourced from the small members
+            # when any exist so the produced layer is small-free
+            stalled = True
+            small_previous = [v for v in previous if v in small]
+            return small_previous or previous, len(previous), 2 * len(previous)
+        stalled = False
+        target = math.ceil(len(previous) * d / 3.0)
+        return previous, target, 2 * target
+
+    base = path
+    while True:
+        stalled = False
+        try:
+            fam = layered_family(
+                g, base, schedule, admit=admit, total_target=total_target,
+                max_layers=max_layers, stats=stats,
+            )
+        except _Restart as restart:
+            base = restart.args[0]
+            continue
+        assert not any(v in small for layer in fam.layers[1:] for v in layer)
+        fam.special_rotations = special_rotations
+        return fam
 
 
 def _special_rotation(g, path_to_small):
@@ -551,7 +506,7 @@ def gnp_hamilton_schedule(
     schedule: small vertices trigger one special rotation + restart, stall
     layers bridge expansion shortfalls, and closing uses the family endpoints
     adjacent to the fixed vertex (heuristic fallback on the longest path)."""
-    stats = _new_stats()
+    stats = new_stats()
     if g.n < 3:
         return SearchResult(None, "too_small", stats)
     if not is_connected(g):
@@ -573,7 +528,7 @@ def gnp_hamilton_schedule(
             if verdict and len(seq) == g.n:
                 return SearchResult(Cycle(seq), None, stats)
             # non-spanning cycle: absorb and fall through to the heuristic
-            reopened = _absorb(g, seq)
+            reopened = absorb(g, seq)
             if reopened is not None:
                 path = reopened
         outcome = close_heuristic(

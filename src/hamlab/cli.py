@@ -90,39 +90,35 @@ def _dump(payload, out_path):
     _emit(json.dumps(payload, sort_keys=True, default=list) + "\n", out_path)
 
 
+# generator parameter behind each graph-source flag, per family
+_FAMILY_FLAGS = {
+    "complete": {"n": "n"},
+    "complete_bipartite": {"a": "a", "b": "b"},
+    "cycle": {"n": "n"},
+    "path": {"n": "n"},
+    "gnp": {"n": "n", "p": "p"},
+    "random_regular": {"n": "n", "d": "d"},
+    "clique_plus_isolated": {"clique": "clique_size", "isolated": "isolated_count"},
+    "petersen": {},
+}
+
+
 def _graph_from_args(args):
-    if getattr(args, "infile", None):
+    """The input graph: an edge-list file, or a named family built from only
+    the flags its generator takes (other flags, such as `check --d`, are left
+    to the subcommand)."""
+    if args.infile:
         with open(args.infile) as fh:
             return load_edge_list(fh.read())
-    family = getattr(args, "family", None)
-    if not family:
+    if not args.family:
         raise UsageError("need --in FILE or --family NAME")
     params = {}
-    for key in ("n", "a", "b", "d", "clique", "isolated"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if family in ("gnp",) and getattr(args, "p", None) is not None:
-        params["p"] = args.p
-    if family == "clique_plus_isolated":
-        params = {
-            "clique_size": params.pop("clique"),
-            "isolated_count": params.pop("isolated"),
-        }
-    if family == "complete_bipartite":
-        params = {"a": params["a"], "b": params["b"]}
-    if family == "random_regular":
-        params = {"n": params["n"], "d": params["d"]}
-    if family in ("complete", "cycle", "path"):
-        params = {"n": params["n"]}
-        family = {"cycle": "cycle", "path": "path"}.get(family, family)
-        if family == "cycle":
-            return generate("cycle", n=params["n"])
-        if family == "path":
-            return generate("path", n=params["n"])
-    if family == "petersen":
-        params = {}
-    return generate(family, seed=getattr(args, "seed", 0), **params)
+    for flag, name in _FAMILY_FLAGS.get(args.family, {}).items():
+        val = getattr(args, flag)
+        if val is None:
+            raise UsageError(f"--family {args.family} needs --{flag}")
+        params[name] = val
+    return generate(args.family, seed=args.seed, **params)
 
 
 def _add_graph_source(p):

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from .graph import Cycle, Graph, Path, edge_key, is_connected, validate_cycle, validate_path
 from .pivots import GOOD_RATIO, SpannedGraph, augment, classify_pivots
-from .rotation import (
-    double_rotation_targets,
-    extend,
-    rotate,
-)
+from .rotation import closure, double_rotation_targets, extend, rotate
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +293,6 @@ def lift_model_path(model_seq, model, phat):
 # Model closures that remember a witnessing path per endpoint
 
 
-def _model_closure_paths(aug_graph, start, w_id, fixed, budget, forbidden, log=None):
-    q = len(start)
-    seen = {start}
-    frontier = [start]
-    best = {}
-    if start[-1] not in (w_id, fixed):
-        best[start[-1]] = start
-    states = 1
-    while frontier:
-        nxt = []
-        for seq in frontier:
-            last = seq[-1]
-            for u in aug_graph.neighbors(last):
-                try:
-                    i = seq.index(u)
-                except ValueError:
-                    continue
-                if i > q - 3:
-                    continue
-                broken = edge_key(seq[i], seq[i + 1])
-                if broken in forbidden:
-                    continue
-                child = seq[: i + 1] + seq[:i:-1]
-                if child in seen or states >= budget:
-                    continue
-                if log is not None:
-                    log.add(broken)
-                seen.add(child)
-                states += 1
-                ep = child[-1]
-                if ep not in (w_id, fixed) and ep not in best:
-                    best[ep] = child
-                nxt.append(child)
-        frontier = nxt
-    return best
-
-
 def _model_link_edges(model):
     """Model spine edges that stand for contracted connectors."""
     links = set()
@@ -354,17 +313,11 @@ def model_endpoint_paths(model, pivot_model, budget=4000, log=None):
     """
     aug = augment(model.spanned, pivot_model)
     forbidden = _model_link_edges(model)
-    w = aug.added_vertex
     forbidden |= {edge_key(a, b) for a, b in aug.added_edges}
-    return _model_closure_paths(
-        aug.graph,
-        aug.rotated_start,
-        w,
-        model.spanned.spine[0],
-        budget,
-        forbidden,
-        log=log,
-    )
+    return closure(
+        aug.graph, aug.rotated_start, exclude=(aug.added_vertex,),
+        forbidden=forbidden, budget=budget, log=log,
+    ).witness
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +334,8 @@ class CloseFailure:
         return {"stage": self.stage, "detail": self.detail, "stats": _stats_json(self.stats)}
 
 
-def _new_stats():
+def new_stats():
+    """Fresh search counters shared by every closing route."""
     return {"rotations": 0, "restarts": 0, "families_built": 0}
 
 
@@ -405,7 +359,7 @@ def _good_interior(model, audit):
     return [pm for pm in audit.good if pm not in tips]
 
 
-def _absorb(g, cycle_seq, protected_edge=None):
+def absorb(g, cycle_seq, protected_edge=None):
     """Reopen a non-spanning cycle at a vertex with an outside neighbor."""
     members = set(cycle_seq)
     m = len(cycle_seq)
@@ -444,7 +398,7 @@ def close_proof_faithful(
     and the pipeline restarts from it.
     """
     if stats is None:
-        stats = _new_stats()
+        stats = new_stats()
     if g.n < 3:
         return CloseFailure("too_small", stats=stats)
     if not is_connected(g):
@@ -474,7 +428,7 @@ def close_proof_faithful(
         assert verdict, f"pipeline produced an invalid cycle: {verdict.reason}"
         if len(cycle_seq) == g.n:
             return Cycle(cycle_seq)
-        reopened = _absorb(g, cycle_seq, protected_edge)
+        reopened = absorb(g, cycle_seq, protected_edge)
         if reopened is None:
             return CloseFailure("absorption", "no outside neighbor", stats)
         path = extend(g, reopened)
@@ -677,7 +631,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
     absorb when the closed cycle does not span, otherwise rotate (round-robin
     over the two ends, preferring rotations that enable a closing edge)."""
     if stats is None:
-        stats = _new_stats()
+        stats = new_stats()
     if rng is None:
         rng = random.Random(0)
     if g.n < 3:
@@ -694,7 +648,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
             assert verdict, verdict.reason
             if len(cycle_seq) == g.n:
                 return Cycle(cycle_seq)
-            reopened = _absorb(g, cycle_seq, protected_edge)
+            reopened = absorb(g, cycle_seq, protected_edge)
             if reopened is None:
                 return CloseFailure("absorption", "component exhausted", stats)
             path = extend(g, reopened, rng)
@@ -767,7 +721,7 @@ def find_hamilton_cycle(
     restarts with a heuristic fallback; the rotation budget is shared across
     all restarts.  Every returned cycle passes the final validation gate.
     """
-    stats = _new_stats()
+    stats = new_stats()
     if g.n < 3:
         return SearchResult(None, "too_small", stats)
     if not is_connected(g):

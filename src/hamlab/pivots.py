@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graph import Graph, Path, validate_path
-from .rotation import ClosureResult, rotate
+from .rotation import closure, rotate, rotated
 
 GOOD_RATIO = 1.0 / 43.0
 
@@ -77,49 +77,16 @@ def pivot_endpoint_set(h, pivot_index, budget=200000):
     endpoints that are real path vertices (w and the fixed vertex excluded).
     Early termination at `stop_at` endpoints is available via classify_pivots.
     """
-    return _closure(h, pivot_index, budget, stop_at=None)
+    return _pivot_closure(h, pivot_index, budget)
 
 
-def _closure(h, pivot_index, budget, stop_at=None):
+def _pivot_closure(h, pivot_index, budget, stop_at=None):
+    # the fixed first vertex is never a rotation endpoint, so only w is excluded
     aug = augment(h, pivot_index)
-    g = aug.graph
-    w = aug.added_vertex
-    fixed = h.spine[0]
-    start = aug.rotated_start
-    q = len(start)
-    seen = {start}
-    frontier = [start]
-    endpoints = set()
-    if start[-1] not in (w, fixed):
-        endpoints.add(start[-1])
-    states = 1
-    complete = True
-    while frontier:
-        if stop_at is not None and len(endpoints) >= stop_at:
-            return ClosureResult(endpoints, False, states)
-        nxt = []
-        for seq in frontier:
-            last = seq[-1]
-            for u in g.neighbors(last):
-                try:
-                    i = seq.index(u)
-                except ValueError:
-                    continue
-                if i > q - 3:
-                    continue
-                child = seq[: i + 1] + seq[:i:-1]
-                if child in seen:
-                    continue
-                if states >= budget:
-                    complete = False
-                    continue
-                seen.add(child)
-                states += 1
-                if child[-1] not in (w, fixed):
-                    endpoints.add(child[-1])
-                nxt.append(child)
-        frontier = nxt
-    return ClosureResult(endpoints, complete, states)
+    return closure(
+        aug.graph, aug.rotated_start, exclude=(aug.added_vertex,),
+        stop_at=stop_at, budget=budget,
+    )
 
 
 @dataclass
@@ -158,7 +125,7 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
     exact = True
     for idx in range(1, l - 1):
         v = h.spine[idx]
-        res = _closure(h, idx, budget, stop_at=stop_at if early_exit else None)
+        res = _pivot_closure(h, idx, budget, stop_at)
         sizes[v] = len(res.endpoints)
         if not res.complete:
             exact = False
@@ -265,7 +232,7 @@ def process_bad_vertices(h, audit):
                 seq = paths[src]
                 i = seq.index(cand)
                 assert i <= len(seq) - 3, "pivot adjacent to its endpoint"
-                child = seq[: i + 1] + seq[:i:-1]
+                child = rotated(seq, i)
                 ep = child[-1]
                 if ep in placed_set or ep in w_union or ep in x_set or ep == w_vertex:
                     continue

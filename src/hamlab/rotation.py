@@ -1,6 +1,7 @@
-"""Rotation-extension core: single rotations, greedy extension, the layered
-endpoint-family construction with its growth schedule, and a brute-force
-closure oracle used to cross-check the families.
+"""Rotation-extension core: single rotations, greedy extension, two-sided
+endpoint pairs, and the rotation engine: `closure`, the one breadth-first
+search over rotated vertex tuples, and `layered_family`, the one layered
+endpoint-family loop, whose schedule and admission policies come from callers.
 
 Conventions: a path's fixed endpoint is its first vertex; the mobile endpoint
 is its last.  Pivot positions are 0-based indices into the path; a rotation at
@@ -34,6 +35,11 @@ class RotationStep:
         return steps
 
 
+def rotated(seq, i):
+    """The vertex tuple `seq` rotated at position i: the tail after i reversed."""
+    return seq[: i + 1] + seq[:i:-1]
+
+
 def rotate(g, path, pivot_index, parent=None):
     """Rotate `path` at the given pivot position.
 
@@ -49,10 +55,9 @@ def rotate(g, path, pivot_index, parent=None):
     pivot = seq[pivot_index]
     if not g.has_edge(last, pivot):
         raise ValueError(f"({last}, {pivot}) is not an edge")
-    new_seq = seq[: pivot_index + 1] + seq[: pivot_index : -1]
     broken = edge_key(pivot, seq[pivot_index + 1])
     step = RotationStep(pivot, broken, seq[pivot_index + 1], parent)
-    return Path(new_seq), step
+    return Path(rotated(seq, pivot_index)), step
 
 
 def extend(g, path, rng=None):
@@ -133,7 +138,7 @@ class EndpointFamily:
         }
 
 
-def _pivot_candidates(g, base_pos, sources, used):
+def _pivot_candidates(g, base, sources, used):
     """Eligible (pivot, source) pairs for growing the next layer.
 
     A pivot must be a base-path vertex adjacent to some current source whose
@@ -141,27 +146,18 @@ def _pivot_candidates(g, base_pos, sources, used):
     endpoints.  This guarantees both base edges at the pivot are intact on the
     source's path, so every rotation breaks an edge of the base path.
     """
-    base = None
+    seq = base.vertices
+    last = len(seq) - 1
     pairs = []
     seen = set()
     for src in sources:
         for v in g.neighbors(src):
-            if v in seen:
+            if v in seen or v in used:
                 continue
-            i = base_pos.get(v)
+            i = base.pos.get(v)
             if i is None:
                 continue
-            if base is None:
-                base = [None] * len(base_pos)
-                for vv, ii in base_pos.items():
-                    base[ii] = vv
-            if v in used:
-                continue
-            left = base[i - 1] if i > 0 else None
-            right = base[i + 1] if i + 1 < len(base) else None
-            if (left is not None and left in used) or (
-                right is not None and right in used
-            ):
+            if (i > 0 and seq[i - 1] in used) or (i < last and seq[i + 1] in used):
                 continue
             seen.add(v)
             pairs.append((i, v, src))
@@ -169,18 +165,85 @@ def _pivot_candidates(g, base_pos, sources, used):
     return pairs
 
 
-def _place(g, paths, pivot, source, protected_edge=None):
-    """Rotate the source's path at the pivot; returns (endpoint, path, step)."""
-    path = paths[source]
-    idx = path.pos[pivot]
-    if idx > len(path) - 3:
-        return None
-    if protected_edge is not None:
-        broken = edge_key(pivot, path[idx + 1])
-        if broken == protected_edge:
-            return None
-    new_path, step = rotate(g, path, idx)
-    return step.new_endpoint, new_path, step
+def layered_family(
+    g,
+    base,
+    schedule,
+    admit=None,
+    total_target=None,
+    max_layers=None,
+    protected_edge=None,
+    exclude=None,
+    stats=None,
+):
+    """Grow the layered endpoint family of `base` (fixed first vertex).
+
+    Layer t is grown from the sources that `schedule(t, previous layer)`
+    returns together with the layer's target and keep size (None keeps every
+    placed endpoint).  Pivots are processed in ascending base-path position;
+    an endpoint already used, already placed, excluded or fixed is skipped,
+    and `admit(endpoint, path)`, when given, decides whether a new one is
+    placed (it may raise to abandon the family).  Each layer is sorted by
+    endpoint and trimmed to the keep size.  The construction stops when the
+    family holds `total_target` endpoints (default ceil(n/3)), a layer comes
+    up empty, or `max_layers` is hit.
+    """
+    if total_target is None:
+        total_target = math.ceil(g.n / 3)
+    fixed = base.first
+    fam = EndpointFamily(base=base, fixed=fixed)
+    terminal = base.last
+    fam.layers.append([terminal])
+    fam.schedule.append(1)
+    fam.chains[terminal] = None
+    fam.paths[terminal] = base
+    used = {terminal, *(exclude or ())}
+    t = 0
+    while True:
+        if len(fam.chains) >= total_target:
+            fam.stopped = "target_met"
+            break
+        if max_layers is not None and t >= max_layers:
+            fam.stopped = "max_layers"
+            break
+        t += 1
+        sources, target, keep = schedule(t, fam.layers[-1])
+        placed = []
+        placed_set = set()
+        for _, pivot, src in _pivot_candidates(g, base, sources, used):
+            path = fam.paths[src]
+            idx = path.pos[pivot]
+            if idx > len(path) - 3:
+                continue
+            if protected_edge is not None and edge_key(pivot, path[idx + 1]) == protected_edge:
+                continue
+            new_path, step = rotate(g, path, idx, parent=fam.chains[src])
+            ep = step.new_endpoint
+            if ep in used or ep in placed_set or ep == fixed:
+                continue
+            if admit is not None and not admit(ep, new_path):
+                continue
+            placed_set.add(ep)
+            placed.append((ep, new_path, step))
+            if stats is not None:
+                stats["rotations"] = stats.get("rotations", 0) + 1
+                stats.setdefault("broken_edges", set()).add(step.broken_edge)
+        if not placed:
+            fam.stopped = "empty_layer"
+            break
+        placed.sort(key=lambda item: item[0])
+        if keep is not None:
+            placed = placed[:keep]
+        layer = []
+        for ep, new_path, step in placed:
+            layer.append(ep)
+            fam.chains[ep] = step
+            fam.paths[ep] = new_path
+            fam.broken_edges.add(step.broken_edge)
+            used.add(ep)
+        fam.layers.append(layer)
+        fam.schedule.append(target)
+    return fam
 
 
 def endpoint_family(
@@ -204,79 +267,30 @@ def endpoint_family(
     `max_layers` is hit.  Trimming keeps lowest vertex ids; pivots are
     processed in ascending base-path position.
     """
-    base = path
-    fixed = base.first
-    if total_target is None:
-        total_target = math.ceil(g.n / 3)
-    fam = EndpointFamily(base=base, fixed=fixed)
-    base_pos = dict(base.pos)
-    terminal = base.last
-    fam.layers.append([terminal])
-    fam.schedule.append(1)
-    fam.chains[terminal] = None
-    fam.paths[terminal] = base
-    used = {terminal}
-    if exclude:
-        used |= set(exclude)
-    t = 0
-    while True:
-        if len(fam.chains) >= total_target:
-            fam.stopped = "target_met"
-            break
-        if max_layers is not None and t >= max_layers:
-            fam.stopped = "max_layers"
-            break
-        t += 1
+
+    def schedule(t, previous):
         target = math.ceil((d / 3.0) ** t)
         if layer_cap is not None:
             target = min(target, layer_cap)
-        keep = target if surplus is None else math.ceil(target * surplus)
-        if surplus is None:
-            keep = None
-        sources = fam.layers[-1]
-        placed = []
-        placed_set = set()
-        for _, pivot, src in _pivot_candidates(g, base_pos, sources, used):
-            got = _place(g, fam.paths, pivot, src, protected_edge)
-            if got is None:
-                continue
-            ep, new_path, step = got
-            if ep in used or ep in placed_set or ep == fixed:
-                continue
-            placed_set.add(ep)
-            placed.append((ep, new_path, RotationStep(
-                step.pivot, step.broken_edge, step.new_endpoint, fam.chains[src]
-            )))
-            if stats is not None:
-                stats["rotations"] = stats.get("rotations", 0) + 1
-                stats.setdefault("broken_edges", set()).add(step.broken_edge)
-        if not placed:
-            fam.stopped = "empty_layer"
-            break
-        placed.sort(key=lambda item: item[0])
-        if keep is not None:
-            placed = placed[:keep]
-        layer = []
-        for ep, new_path, step in placed:
-            layer.append(ep)
-            fam.chains[ep] = step
-            fam.paths[ep] = new_path
-            fam.broken_edges.add(step.broken_edge)
-            used.add(ep)
-        fam.layers.append(layer)
-        fam.schedule.append(target)
-    return fam
+        keep = None if surplus is None else math.ceil(target * surplus)
+        return previous, target, keep
+
+    return layered_family(
+        g, path, schedule, total_target=total_target, max_layers=max_layers,
+        protected_edge=protected_edge, exclude=exclude, stats=stats,
+    )
 
 
 def reconstruct_path(family, v):
-    """Replay the stored chain for endpoint v from the base path."""
+    """The path from the fixed vertex to endpoint v that the family stored
+    when it placed v (use `replay_chain` to rebuild it from the base path)."""
     if v == family.fixed:
         raise ValueError("fixed endpoint is not a family member")
     if v not in family.chains:
         raise ValueError(f"vertex {v} is not in the family")
-    # paths are materialized during construction; replaying validates them
     path = family.paths[v]
-    assert path.last == v and path.first == family.fixed
+    if path.first != family.fixed or path.last != v:
+        raise AssertionError(f"stored path for endpoint {v} has the wrong endpoints")
     return path
 
 
@@ -296,6 +310,62 @@ class ClosureResult:
     endpoints: set
     complete: bool
     states: int
+    witness: dict  # endpoint -> first tuple found ending there
+
+
+def closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=None):
+    """Breadth-first search over the tuples reachable from the vertex tuple
+    `start` by rotations that keep its first vertex fixed.
+
+    Endpoints in `exclude` are not collected; rotations that would break an
+    edge in `forbidden` are skipped; broken edges of the accepted rotations
+    are added to `log`.  Each collected endpoint keeps the first tuple found
+    ending there as its witness.  At most `budget` states are visited: a new
+    state beyond it is skipped without being marked seen, and the result is
+    then incomplete.  With `stop_at`, the search also stops incomplete at the
+    start of the first level that begins with that many endpoints.
+    """
+    q = len(start)
+    seen = {start}
+    frontier = [start]
+    witness = {}
+    if start[-1] not in exclude:
+        witness[start[-1]] = start
+    states = 1
+    complete = True
+    while frontier:
+        if stop_at is not None and len(witness) >= stop_at:
+            complete = False
+            break
+        nxt = []
+        for seq in frontier:
+            for u in g.neighbors(seq[-1]):
+                try:
+                    i = seq.index(u)
+                except ValueError:
+                    continue
+                if i > q - 3:
+                    continue
+                if forbidden or log is not None:
+                    broken = edge_key(seq[i], seq[i + 1])
+                    if broken in forbidden:
+                        continue
+                child = rotated(seq, i)
+                if child in seen:
+                    continue
+                if states >= budget:
+                    complete = False
+                    continue
+                if log is not None:
+                    log.add(broken)
+                seen.add(child)
+                states += 1
+                ep = child[-1]
+                if ep not in exclude and ep not in witness:
+                    witness[ep] = child
+                nxt.append(child)
+        frontier = nxt
+    return ClosureResult(set(witness), complete, states, witness)
 
 
 def endpoint_closure_oracle(g, path, fixed=None, max_states=200000):
@@ -310,38 +380,7 @@ def endpoint_closure_oracle(g, path, fixed=None, max_states=200000):
             path = path.reversed()
         else:
             raise ValueError("fixed vertex is not an endpoint of the path")
-    start = path.vertices
-    q = len(start)
-    seen = {start}
-    frontier = [start]
-    endpoints = {start[-1]}
-    states = 1
-    complete = True
-    while frontier:
-        nxt = []
-        for seq in frontier:
-            last = seq[-1]
-            for u in g.neighbors(last):
-                i = None
-                # pivot must sit at position <= q-3
-                try:
-                    i = seq.index(u)
-                except ValueError:
-                    continue
-                if i > q - 3:
-                    continue
-                child = seq[: i + 1] + seq[:i:-1]
-                if child in seen:
-                    continue
-                if states >= max_states:
-                    complete = False
-                    continue
-                seen.add(child)
-                states += 1
-                endpoints.add(child[-1])
-                nxt.append(child)
-        frontier = nxt
-    return ClosureResult(endpoints, complete, states)
+    return closure(g, path.vertices, budget=max_states)
 
 
 @dataclass
@@ -374,32 +413,21 @@ def double_rotation_targets(
     fixed, then for each reached endpoint a (up to a_cap) a family of the
     reconstructed path with a fixed.  Records P(a, b) and rotation counts.
     """
-    fam1 = endpoint_family(
-        g,
-        path,
-        d=d,
-        total_target=total_target,
-        surplus=surplus,
-        max_layers=max_layers,
-        protected_edge=protected_edge,
-        stats=stats,
-    )
+
+    def family(p):
+        return endpoint_family(
+            g, p, d=d, total_target=total_target, surplus=surplus,
+            max_layers=max_layers, protected_edge=protected_edge, stats=stats,
+        )
+
+    fam1 = family(path)
     a0 = sorted(fam1.endpoints())
     chosen = a0 if a_cap is None else a0[:a_cap]
     out = DoubleRotationTargets(path, a0, {}, {}, {}, families_built=1)
     for a in chosen:
         p_a = reconstruct_path(fam1, a).reversed()  # a first, fixed end mobile
         rot_a = fam1.rotations_to(a)
-        fam2 = endpoint_family(
-            g,
-            p_a,
-            d=d,
-            total_target=total_target,
-            surplus=surplus,
-            max_layers=max_layers,
-            protected_edge=protected_edge,
-            stats=stats,
-        )
+        fam2 = family(p_a)
         out.families_built += 1
         bset = sorted(fam2.endpoints())
         out.bmap[a] = bset

@@ -196,3 +196,18 @@ def test_env_work_budget(capsys, monkeypatch):
     assert code == EXIT_INDETERMINATE
     payload = json.loads(out)
     assert "error" in payload
+
+
+def test_check_conditions_on_gnp_with_d(capsys):
+    # --d is the condition parameter here; gnp() must not receive it
+    code, out = run(
+        capsys, "check", "--family", "gnp", "--n", "20", "--p", "0.5", "--d", "3",
+        "--conditions",
+    )
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INDETERMINATE)
+    assert json.loads(out)["params"]["d"] == 3
+
+
+def test_family_missing_parameter_is_usage_error(capsys):
+    assert main(["gen", "--family", "gnp", "--n", "20"]) == EXIT_USAGE
+    assert "--p" in capsys.readouterr().err

@@ -281,14 +281,14 @@ def test_close_proof_faithful_absorbs_short_paths(monkeypatch):
     # path; the pipeline must close it, absorb an outside vertex, and go again
     import hamlab.closing as closing
 
-    real_absorb = closing._absorb
+    real_absorb = closing.absorb
     calls = [0]
 
     def counting_absorb(g, seq, protected_edge=None):
         calls[0] += 1
         return real_absorb(g, seq, protected_edge)
 
-    monkeypatch.setattr(closing, "_absorb", counting_absorb)
+    monkeypatch.setattr(closing, "absorb", counting_absorb)
     rng = random.Random("absorb")
     wins = absorbed = 0
     for i in range(60):
