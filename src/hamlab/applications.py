@@ -157,8 +157,7 @@ def _cycle_to_path_with_edge(cycle_seq, u, v):
     i, j = pos[u], pos[v]
     if (i + 1) % n == j or (j + 1) % n == i:
         # already consecutive: rotate the cycle so u, v are the path's ends
-        k = i if (i + 1) % n == j else j
-        return tuple(cycle_seq[k + 1 :] + cycle_seq[: k + 1])
+        return _strip_protected(cycle_seq, u, v)
     if i > j:
         i, j = j, i
     # walk w_{i+1}..w_j, cross the new chord to w_i, walk back to w_{j+1}
@@ -470,8 +469,13 @@ def small_aware_family(
         stalled = False
         try:
             fam = layered_family(
-                g, base, schedule, admit=admit, total_target=total_target,
-                max_layers=max_layers, stats=stats,
+                g,
+                base,
+                schedule,
+                admit=admit,
+                total_target=total_target,
+                max_layers=max_layers,
+                stats=stats,
             )
         except _Restart as restart:
             base = restart.args[0]

@@ -42,6 +42,7 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 
 SCHEMA = 1
+SEARCH_MODES = ["proof_faithful", "heuristic", "auto"]
 
 
 class UsageError(Exception):
@@ -131,6 +132,7 @@ def _add_graph_source(p):
     p.add_argument("--d", type=int)
     p.add_argument("--clique", type=int)
     p.add_argument("--isolated", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -142,12 +144,10 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a named family to an edge list")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("check", help="run a condition checker")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--expansion", action="store_true")
     group.add_argument("--joined", action="store_true")
@@ -164,28 +164,21 @@ def build_parser():
 
     p = sub.add_parser("hamilton", help="search for a Hamilton cycle")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mode", default="auto", choices=["proof_faithful", "heuristic", "auto"]
-    )
+    p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.add_argument("--out")
 
     p = sub.add_parser("path", help="Hamilton path between two vertices")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument(
-        "--mode", default="auto", choices=["proof_faithful", "heuristic", "auto"]
-    )
+    p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--out")
 
     p = sub.add_parser("cycle-k", help="cycle of exact length k")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, default=10)
     p.add_argument("--retries", type=int, default=20)
@@ -194,7 +187,6 @@ def build_parser():
 
     p = sub.add_parser("pivot-audit", help="good/bad pivot audit of a spanning path")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--path", dest="spine", help="comma-separated spanning path")
     p.add_argument("--ratio", type=float, default=1.0 / 43.0)
     p.add_argument("--budget", type=int, default=200000)
@@ -209,14 +201,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=60000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument(
-        "--mode", default="heuristic", choices=["proof_faithful", "heuristic", "auto"]
-    )
+    p.add_argument("--mode", default="heuristic", choices=SEARCH_MODES)
     p.add_argument("--out", help="CSV path (aggregate JSON goes to stdout)")
 
     p = sub.add_parser("fconn-pipeline", help="f-connectivity check + search")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", default="klogk", choices=["klogk", "quadratic"])
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--out")

@@ -233,15 +233,21 @@ def build_contracted(dec, half, g, side, protected_segment=None):
     return ContractedModel(spanned, labels, side, tuple(runs), frozen=frozen)
 
 
+def _run_bounds(model):
+    """(first, last) spine positions of each run, in spine order."""
+    bounds = []
+    offset = 0
+    for run in (tuple(reversed(model.runs)) if model.side == 1 else model.runs):
+        bounds.append((offset, offset + len(run) - 1))
+        offset += len(run)
+    return bounds
+
+
 def _link_expansions(model, phat):
     """Real interior vertices hidden inside each model link edge."""
     expansions = {}
-    boundaries = []
-    offset = 0
-    for run in (tuple(reversed(model.runs)) if model.side == 1 else model.runs):
-        boundaries.append((offset, offset + len(run) - 1))
-        offset += len(run)
-    for (a0, a1), (b0, b1) in zip(boundaries, boundaries[1:]):
+    bounds = _run_bounds(model)
+    for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
         u = model.labels[a1]
         v = model.labels[b0]
         pu, pv = phat.pos[u], phat.pos[v]
@@ -295,13 +301,8 @@ def lift_model_path(model_seq, model, phat):
 
 def _model_link_edges(model):
     """Model spine edges that stand for contracted connectors."""
-    links = set()
-    offset = 0
-    runs = tuple(reversed(model.runs)) if model.side == 1 else model.runs
-    for run in runs[:-1]:
-        offset += len(run)
-        links.add((offset - 1, offset))
-    return links
+    bounds = _run_bounds(model)
+    return {(a1, b0) for (a0, a1), (b0, b1) in zip(bounds, bounds[1:])}
 
 
 def model_endpoint_paths(model, pivot_model, budget=4000, log=None):
@@ -315,8 +316,12 @@ def model_endpoint_paths(model, pivot_model, budget=4000, log=None):
     forbidden = _model_link_edges(model)
     forbidden |= {edge_key(a, b) for a, b in aug.added_edges}
     return closure(
-        aug.graph, aug.rotated_start, exclude=(aug.added_vertex,),
-        forbidden=forbidden, budget=budget, log=log,
+        aug.graph,
+        aug.rotated_start,
+        exclude=(aug.added_vertex,),
+        forbidden=forbidden,
+        budget=budget,
+        log=log,
     ).witness
 
 
@@ -349,13 +354,7 @@ def _stats_json(stats):
 
 def _good_interior(model, audit):
     """Good model pivots (spine positions) interior to their runs."""
-    tips = set()
-    offset = 0
-    runs = tuple(reversed(model.runs)) if model.side == 1 else model.runs
-    for run in runs:
-        tips.add(offset)
-        tips.add(offset + len(run) - 1)
-        offset += len(run)
+    tips = {pos for bound in _run_bounds(model) for pos in bound}
     return [pm for pm in audit.good if pm not in tips]
 
 
@@ -560,9 +559,9 @@ def _search_closing_edge(
     broken_log = stats.setdefault("broken_edges", set())
 
     def side_options(model, goods, anchor, cache):
-        # (endpoint -> model path) maps reachable from anchors via a good pivot
+        # real endpoint -> model path, over the good pivots adjacent to the anchor
         if model.frozen:
-            return {None: None}  # endpoint set degenerates to the anchor
+            return {anchor: None}  # endpoint set degenerates to the anchor
         out = {}
         for pm in goods:
             real_pivot = model.labels[pm]
@@ -580,29 +579,21 @@ def _search_closing_edge(
                     if a != w_id and b != w_id
                 )
             for ep, seq in cache[pm].items():
-                out.setdefault(ep, seq)
+                out.setdefault(model.labels[ep], seq)
         return out
 
     for a_hat in a_hat_pool[:anchor_cap]:
         v1 = side_options(model1, good1, a_hat, cache1)
         if not v1:
             continue
-        v1_real = {
-            (model1.labels[ep] if ep is not None else a_hat): seq
-            for ep, seq in v1.items()
-        }
         for b_hat in sorted(bmap.get(a_hat, ()))[:anchor_cap]:
             v2 = side_options(model2, good2, b_hat, cache2)
             if not v2:
                 continue
-            v2_real = {
-                (model2.labels[ep] if ep is not None else b_hat): seq
-                for ep, seq in v2.items()
-            }
-            for z1 in sorted(v1_real):
-                for z2 in sorted(v2_real):
+            for z1 in sorted(v1):
+                for z2 in sorted(v2):
                     if z1 != z2 and g.has_edge(z1, z2):
-                        return a_hat, b_hat, v1_real[z1], v2_real[z2], z1, z2
+                        return a_hat, b_hat, v1[z1], v2[z2], z1, z2
     return None
 
 

@@ -166,6 +166,22 @@ def _subset_count(n, max_size):
     return total
 
 
+def _subsets(items, max_size):
+    """Subsets of 1..max_size members: by size, then lexicographically."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, a) for a in range(1, max_size + 1)
+    )
+
+
+def _combined_verdict(sub):
+    """Fails when any sub-check fails, else indeterminate when any is."""
+    if FAILS in sub.values():
+        return FAILS
+    if INDETERMINATE in sub.values():
+        return INDETERMINATE
+    return HOLDS
+
+
 def check_expansion(g, s, d, mode="exact", budget=None, samples=2000, seed=0):
     """Does every set S with |S| <= s satisfy |N(S)| >= d*|S|?
 
@@ -184,30 +200,22 @@ def check_expansion(g, s, d, mode="exact", budget=None, samples=2000, seed=0):
             raise WorkBudgetExceeded(
                 f"exact expansion check needs > {cap} subset inspections"
             )
-        for a in range(1, s + 1):
-            for combo in itertools.combinations(vertices, a):
-                work += 1
-                if len(neighborhood(g, combo)) < d * a:
-                    witness = list(combo)
-                    assert len(neighborhood(g, witness)) < d * len(witness)
-                    return ConditionReport(
-                        "expansion", FAILS, {"S": witness}, params, work, mode
-                    )
-        return ConditionReport("expansion", HOLDS, None, params, work, mode)
-    if mode == "sampled":
+        combos = _subsets(vertices, s)
+    elif mode == "sampled":
         rng = random.Random(f"expansion:{seed}")
-        for _ in range(samples):
-            a = rng.randint(1, s)
-            combo = rng.sample(vertices, a)
-            work += 1
-            if len(neighborhood(g, combo)) < d * a:
-                witness = sorted(combo)
-                assert len(neighborhood(g, witness)) < d * len(witness)
-                return ConditionReport(
-                    "expansion", FAILS, {"S": witness}, params, work, mode
-                )
-        return ConditionReport("expansion", INDETERMINATE, None, params, work, mode)
-    raise ValueError(f"unknown mode {mode!r}")
+        combos = (rng.sample(vertices, rng.randint(1, s)) for _ in range(samples))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for combo in combos:
+        work += 1
+        if len(neighborhood(g, combo)) < d * len(combo):
+            witness = sorted(combo)
+            assert len(neighborhood(g, witness)) < d * len(witness)
+            return ConditionReport(
+                "expansion", FAILS, {"S": witness}, params, work, mode
+            )
+    verdict = HOLDS if mode == "exact" else INDETERMINATE
+    return ConditionReport("expansion", verdict, None, params, work, mode)
 
 
 def _joined_witness(g, a_set):
@@ -235,30 +243,23 @@ def check_joined(g, s, mode="exact", budget=None, samples=2000, seed=0):
             raise WorkBudgetExceeded(
                 f"exact joined check needs > {cap} subset inspections"
             )
-        for combo in itertools.combinations(vertices, s):
-            work += 1
-            rest = _joined_witness(g, combo)
-            if len(rest) >= s:
-                a, b = list(combo), rest[:s]
-                assert not any(g.has_edge(u, v) for u in a for v in b)
-                return ConditionReport(
-                    "joined", FAILS, {"A": a, "B": b}, params, work, mode
-                )
-        return ConditionReport("joined", HOLDS, None, params, work, mode)
-    if mode == "sampled":
+        combos = itertools.combinations(vertices, s)
+    elif mode == "sampled":
         rng = random.Random(f"joined:{seed}")
-        for _ in range(samples):
-            combo = rng.sample(vertices, s)
-            work += 1
-            rest = _joined_witness(g, combo)
-            if len(rest) >= s:
-                a, b = sorted(combo), rest[:s]
-                assert not any(g.has_edge(u, v) for u in a for v in b)
-                return ConditionReport(
-                    "joined", FAILS, {"A": a, "B": b}, params, work, mode
-                )
-        return ConditionReport("joined", INDETERMINATE, None, params, work, mode)
-    raise ValueError(f"unknown mode {mode!r}")
+        combos = (rng.sample(vertices, s) for _ in range(samples))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for combo in combos:
+        work += 1
+        rest = _joined_witness(g, combo)
+        if len(rest) >= s:
+            a, b = sorted(combo), rest[:s]
+            assert not any(g.has_edge(u, v) for u in a for v in b)
+            return ConditionReport(
+                "joined", FAILS, {"A": a, "B": b}, params, work, mode
+            )
+    verdict = HOLDS if mode == "exact" else INDETERMINATE
+    return ConditionReport("joined", verdict, None, params, work, mode)
 
 
 def check_conditions(g, d, variant="P1P2", mode="exact", budget=None, seed=0):
@@ -299,12 +300,7 @@ def check_conditions(g, d, variant="P1P2", mode="exact", budget=None, seed=0):
         sub["joined"] = HOLDS
         params["vacuous"].append("joined")
     params["sub"] = sub
-    if FAILS in sub.values():
-        verdict = FAILS
-    elif INDETERMINATE in sub.values():
-        verdict = INDETERMINATE
-    else:
-        verdict = HOLDS
+    verdict = _combined_verdict(sub)
     return ConditionReport(variant, verdict, witness, params, work, mode)
 
 
@@ -481,23 +477,23 @@ def fconn_implies_conditions(
     cap = work_budget(budget)
     if _subset_count(g.n, s_small) > cap:
         raise WorkBudgetExceeded("implication (i) enumeration over budget")
-    for a in range(1, s_small + 1):
-        for combo in itertools.combinations(range(g.n), a):
-            work += 1
-            nbhd = neighborhood(g, combo)
-            if len(nbhd) >= d * a:
-                continue
-            rest = g.n - a - len(nbhd)
-            if a > rest:
-                continue
-            return ConditionReport(
-                "fconn-implications",
-                FAILS,
-                {"implication": "expansion", "A": list(combo)},
-                params,
-                work,
-                "exact",
-            )
+    for combo in _subsets(range(g.n), s_small):
+        work += 1
+        a = len(combo)
+        nbhd = neighborhood(g, combo)
+        if len(nbhd) >= d * a:
+            continue
+        rest = g.n - a - len(nbhd)
+        if a > rest:
+            continue
+        return ConditionReport(
+            "fconn-implications",
+            FAILS,
+            {"implication": "expansion", "A": list(combo)},
+            params,
+            work,
+            "exact",
+        )
     joined = check_joined(g, s_big, budget=budget)
     work += joined.work
     if joined.fails:
@@ -573,9 +569,7 @@ def check_gnp_properties(
     if mode == "exact" and _subset_count(len(big), s_small) > cap:
         mode = "sampled"
     if mode == "exact":
-        combos = itertools.chain.from_iterable(
-            itertools.combinations(big, a) for a in range(1, s_small + 1)
-        )
+        combos = _subsets(big, s_small)
     else:
         rng = random.Random(f"gnp-props:{seed}")
         combos = (
@@ -607,10 +601,5 @@ def check_gnp_properties(
 
     params["sub"] = sub
     params["small"] = sorted(small)
-    if FAILS in sub.values():
-        verdict = FAILS
-    elif INDETERMINATE in sub.values():
-        verdict = INDETERMINATE
-    else:
-        verdict = HOLDS
+    verdict = _combined_verdict(sub)
     return ConditionReport("gnp-properties", verdict, witness, params, work, mode)

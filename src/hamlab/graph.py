@@ -225,19 +225,7 @@ def neighborhood(g, s):
 
 
 def is_connected(g):
-    if g.n == 0:
-        return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == g.n
+    return g.n > 0 and min(bfs_distances(g, 0)) >= 0
 
 
 def bfs_distances(g, source):

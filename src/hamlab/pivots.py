@@ -84,8 +84,11 @@ def _pivot_closure(h, pivot_index, budget, stop_at=None):
     # the fixed first vertex is never a rotation endpoint, so only w is excluded
     aug = augment(h, pivot_index)
     return closure(
-        aug.graph, aug.rotated_start, exclude=(aug.added_vertex,),
-        stop_at=stop_at, budget=budget,
+        aug.graph,
+        aug.rotated_start,
+        exclude=(aug.added_vertex,),
+        stop_at=stop_at,
+        budget=budget,
     )
 
 

@@ -55,9 +55,11 @@ def rotate(g, path, pivot_index, parent=None):
     pivot = seq[pivot_index]
     if not g.has_edge(last, pivot):
         raise ValueError(f"({last}, {pivot}) is not an edge")
+    # the slice of `rotated`, inlined: the heuristic search rotates in a hot loop
+    new_seq = seq[: pivot_index + 1] + seq[: pivot_index : -1]
     broken = edge_key(pivot, seq[pivot_index + 1])
     step = RotationStep(pivot, broken, seq[pivot_index + 1], parent)
-    return Path(rotated(seq, pivot_index)), step
+    return Path(new_seq), step
 
 
 def extend(g, path, rng=None):
@@ -157,7 +159,11 @@ def _pivot_candidates(g, base, sources, used):
             i = base.pos.get(v)
             if i is None:
                 continue
-            if (i > 0 and seq[i - 1] in used) or (i < last and seq[i + 1] in used):
+            left = seq[i - 1] if i > 0 else None
+            right = seq[i + 1] if i < last else None
+            if (left is not None and left in used) or (
+                right is not None and right in used
+            ):
                 continue
             seen.add(v)
             pairs.append((i, v, src))
@@ -197,7 +203,9 @@ def layered_family(
     fam.schedule.append(1)
     fam.chains[terminal] = None
     fam.paths[terminal] = base
-    used = {terminal, *(exclude or ())}
+    used = {terminal}
+    if exclude:
+        used |= set(exclude)
     t = 0
     while True:
         if len(fam.chains) >= total_target:
@@ -215,8 +223,9 @@ def layered_family(
             idx = path.pos[pivot]
             if idx > len(path) - 3:
                 continue
-            if protected_edge is not None and edge_key(pivot, path[idx + 1]) == protected_edge:
-                continue
+            if protected_edge is not None:
+                if edge_key(pivot, path[idx + 1]) == protected_edge:
+                    continue
             new_path, step = rotate(g, path, idx, parent=fam.chains[src])
             ep = step.new_endpoint
             if ep in used or ep in placed_set or ep == fixed:
@@ -276,8 +285,14 @@ def endpoint_family(
         return previous, target, keep
 
     return layered_family(
-        g, path, schedule, total_target=total_target, max_layers=max_layers,
-        protected_edge=protected_edge, exclude=exclude, stats=stats,
+        g,
+        path,
+        schedule,
+        total_target=total_target,
+        max_layers=max_layers,
+        protected_edge=protected_edge,
+        exclude=exclude,
+        stats=stats,
     )
 
 
@@ -340,6 +355,7 @@ def closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=Non
         nxt = []
         for seq in frontier:
             for u in g.neighbors(seq[-1]):
+                # pivot must sit at position <= q-3
                 try:
                     i = seq.index(u)
                 except ValueError:
@@ -416,8 +432,14 @@ def double_rotation_targets(
 
     def family(p):
         return endpoint_family(
-            g, p, d=d, total_target=total_target, surplus=surplus,
-            max_layers=max_layers, protected_edge=protected_edge, stats=stats,
+            g,
+            p,
+            d=d,
+            total_target=total_target,
+            surplus=surplus,
+            max_layers=max_layers,
+            protected_edge=protected_edge,
+            stats=stats,
         )
 
     fam1 = family(path)
