@@ -10,6 +10,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     Path,
+    SoundnessError,
     Verdict,
     bfs_distances,
     complete,
@@ -48,6 +49,7 @@ from .conditions import (
 )
 from .rotation import (
     EndpointFamily,
+    PathBuf,
     RotationStep,
     double_rotation_targets,
     endpoint_closure_oracle,

@@ -123,6 +123,8 @@ def hamilton_path_oracle(g, u, v):
 
 def hamilton_connected_oracle(g):
     """True when every vertex pair is joined by a Hamilton path (n <= 20)."""
+    if g.n > ORACLE_CAP:
+        raise ValueError(f"oracle capped at n={ORACLE_CAP}")
     for u in range(g.n):
         dp, _ = _dp_paths_from(g, u)
         full = (1 << g.n) - 1

@@ -18,9 +18,19 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .graph import Cycle, Graph, Path, edge_key, is_connected, validate_cycle, validate_path
+from .graph import (
+    Cycle,
+    Graph,
+    Path,
+    SoundnessError,
+    edge_key,
+    is_connected,
+    validate_cycle,
+    validate_path,
+)
 from .pivots import GOOD_RATIO, SpannedGraph, augment, classify_pivots
-from .rotation import closure, double_rotation_targets, extend, rotate
+# `rotate` stays bound here: bench/tracing.py wraps each module's binding of it
+from .rotation import PathBuf, closure, double_rotation_targets, extend, rotate  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +434,8 @@ def close_proof_faithful(
             return result
         cycle_seq = result
         verdict = validate_cycle(g, cycle_seq)
-        assert verdict, f"pipeline produced an invalid cycle: {verdict.reason}"
+        if not verdict:
+            raise SoundnessError(f"pipeline produced an invalid cycle: {verdict.reason}")
         if len(cycle_seq) == g.n:
             return Cycle(cycle_seq)
         reopened = absorb(g, cycle_seq, protected_edge)
@@ -517,13 +528,18 @@ def _pipeline_once(
     r1 = _side_real_path(model1, side1, z_model1, phat, x)
     r2 = _side_real_path(model2, side2, z_model2, phat, y)
     px, py = phat.pos[x], phat.pos[y]
-    assert px < py, "x must precede y on the pair path"
+    if not px < py:
+        raise SoundnessError("x must precede y on the pair path")
     p3 = phat.vertices[px : py + 1]
-    assert _untouched(p3, phat), "middle subpath must be untouched"
+    if not _untouched(p3, phat):
+        raise SoundnessError("middle subpath must be untouched")
     cycle_seq = tuple(reversed(r1)) + p3[1:-1] + tuple(r2)
-    assert set(cycle_seq) == set(phat.vertices)
-    assert validate_path(g, r1), "side-1 lift is not a path"
-    assert validate_path(g, r2), "side-2 lift is not a path"
+    if set(cycle_seq) != set(phat.vertices):
+        raise SoundnessError("the cycle does not cover the pair path")
+    if not validate_path(g, r1):
+        raise SoundnessError("side-1 lift is not a path")
+    if not validate_path(g, r2):
+        raise SoundnessError("side-2 lift is not a path")
     return cycle_seq
 
 
@@ -606,10 +622,12 @@ def _side_real_path(model, model_seq, z_real, phat, boundary):
             seq = tuple(reversed(phat.vertices[: p + 1]))
         else:
             seq = tuple(phat.vertices[p:])
-        assert seq[-1] == z_real
+        if seq[-1] != z_real:
+            raise SoundnessError("frozen side does not end at its anchor")
         return list(seq)
     lifted = lift_model_path(model_seq, model, phat)
-    assert lifted[0] == boundary and lifted[-1] == z_real
+    if not (lifted[0] == boundary and lifted[-1] == z_real):
+        raise SoundnessError("lifted side has the wrong endpoints")
     return lifted
 
 
@@ -620,58 +638,65 @@ def _side_real_path(model, model_seq, z_real, phat, boundary):
 def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats=None):
     """Randomized rotation loop: extend, close when the endpoints are adjacent,
     absorb when the closed cycle does not span, otherwise rotate (round-robin
-    over the two ends, preferring rotations that enable a closing edge)."""
+    over the two ends, preferring rotations that enable a closing edge).
+
+    The loop works on one `PathBuf`; a vertex tuple is made only when a cycle
+    closes."""
     if stats is None:
         stats = new_stats()
     if rng is None:
         rng = random.Random(0)
     if g.n < 3:
         return CloseFailure("too_small", stats=stats)
-    path = extend(g, path, rng)
+    buf = PathBuf(g.n, path.vertices)
+    buf.extend(g, rng)
     spent = 0
     while True:
-        if len(path) == 1:
+        if len(buf) == 1:
             return CloseFailure("no_rotation", "isolated start", stats)
-        first, last = path.first, path.last
-        if g.has_edge(first, last) and len(path) >= 3:
-            cycle_seq = path.vertices
+        if g.has_edge(buf.first, buf.last) and len(buf) >= 3:
+            cycle_seq = buf.vertices()
             verdict = validate_cycle(g, cycle_seq)
-            assert verdict, verdict.reason
+            if not verdict:
+                raise SoundnessError(verdict.reason)
             if len(cycle_seq) == g.n:
                 return Cycle(cycle_seq)
             reopened = absorb(g, cycle_seq, protected_edge)
             if reopened is None:
                 return CloseFailure("absorption", "component exhausted", stats)
-            path = extend(g, reopened, rng)
+            buf.load(reopened.vertices)
+            buf.extend(g, rng)
             continue
         if spent >= budget:
             return CloseFailure("budget", f"{spent} rotations", stats)
         moved = False
         for _ in range(2):
-            q = len(path)
+            q = len(buf)
+            first = buf.first
             candidates = []
             closing = []
-            for u in g.neighbors(path.last):
-                i = path.pos.get(u)
+            for u in g.neighbors(buf.last):
+                i = buf.position(u)
                 if i is None or i > q - 3:
                     continue
-                if protected_edge is not None and edge_key(u, path[i + 1]) == protected_edge:
+                succ = buf.at(i + 1)
+                if protected_edge is not None and edge_key(u, succ) == protected_edge:
                     continue
                 candidates.append(i)
-                if g.has_edge(path.first, path[i + 1]):
+                if g.has_edge(first, succ):
                     closing.append(i)
             if candidates:
                 pool = closing if closing else candidates
-                i = rng.choice(pool)
-                path, step = rotate(g, path, i)
+                broken, _ = buf.rotate(rng.choice(pool))
                 spent += 1
                 stats["rotations"] += 1
-                stats.setdefault("broken_edges", set()).add(step.broken_edge)
+                stats.setdefault("broken_edges", set()).add(broken)
                 # round-robin: next rotation works the other end
-                path = extend(g, path, rng).reversed()
+                buf.extend(g, rng)
+                buf.reverse()
                 moved = True
                 break
-            path = path.reversed()
+            buf.reverse()
         if not moved:
             return CloseFailure("no_rotation", "both ends stuck", stats)
 

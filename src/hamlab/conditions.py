@@ -27,12 +27,36 @@ class WorkBudgetExceeded(RuntimeError):
 
 
 def work_budget(explicit=None):
+    """The explicit budget, else HAMLAB_WORK_BUDGET, else the default.
+
+    The variable takes a non-negative integer, also in float notation with an
+    integral value such as 1e8; anything else raises ValueError.
+    """
     if explicit is not None:
         return explicit
     env = os.environ.get("HAMLAB_WORK_BUDGET")
     if env:
-        return int(env)
+        value = _integral(env)
+        if value is None or value < 0:
+            raise ValueError(
+                f"HAMLAB_WORK_BUDGET must be a non-negative integer such as "
+                f"100000000 or 1e8, got {env!r}"
+            )
+        return value
     return DEFAULT_WORK_BUDGET
+
+
+def _integral(text):
+    """The integer `text` spells, directly or as an integral float, or None."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    return int(number) if number.is_integer() else None
 
 
 HOLDS = "holds"

@@ -15,6 +15,12 @@ class GraphFormatError(ValueError):
     """Edge-list text violated the format contract."""
 
 
+class SoundnessError(AssertionError):
+    """A search built a path or cycle that fails its own validation.
+
+    Raised explicitly, so the check still runs under `python -O`."""
+
+
 def edge_key(u, v):
     """Normalize an undirected edge to (min, max) form."""
     return (u, v) if u < v else (v, u)

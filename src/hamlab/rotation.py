@@ -1,7 +1,8 @@
-"""Rotation-extension core: single rotations, greedy extension, two-sided
-endpoint pairs, and the rotation engine: `closure`, the one breadth-first
-search over rotated vertex tuples, and `layered_family`, the one layered
-endpoint-family loop, whose schedule and admission policies come from callers.
+"""Rotation-extension core: single rotations, the mutable path buffer
+`PathBuf` and the greedy extension loop on it, two-sided endpoint pairs, and
+the rotation engine: `closure`, the one breadth-first search over rotated
+vertex tuples, and `layered_family`, the one layered endpoint-family loop,
+whose schedule and admission policies come from callers.
 
 Conventions: a path's fixed endpoint is its first vertex; the mobile endpoint
 is its last.  Pivot positions are 0-based indices into the path; a rotation at
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Path, edge_key
+from .graph import Path, SoundnessError, edge_key
 
 
 @dataclass(frozen=True)
@@ -62,35 +63,146 @@ def rotate(g, path, pivot_index, parent=None):
     return Path(new_seq), step
 
 
+class PathBuf:
+    """Mutable path over the vertices 0..n-1, for loops that rotate, extend
+    and reverse one path many times.
+
+    Slots arr[lo:hi] hold the path and pos[v] is the slot of v, or -1 when v
+    is off the path.  The path read from arr[lo] up to arr[hi - 1] is the
+    logical path (fixed first vertex, mobile last vertex) unless `flip` is
+    set, in which case it is read downwards.  A rotation rewrites only the
+    slots after the pivot, a reversal only toggles `flip`, and an extension
+    writes one slot at either end.  A load starts the path at slot n; as it
+    never holds more than n vertices, neither end can run past the 2n slots.
+    """
+
+    __slots__ = ("arr", "pos", "lo", "hi", "flip")
+
+    def __init__(self, n, vertices):
+        self.arr = [-1] * (2 * n)
+        self.pos = [-1] * n
+        self.lo = self.hi = n
+        self.flip = False
+        self.load(vertices)
+
+    def load(self, vertices):
+        """Replace the held path by `vertices`, read from the fixed end."""
+        pos = self.pos
+        for v in self.arr[self.lo : self.hi]:
+            pos[v] = -1
+        self.lo = self.hi = len(pos)
+        self.flip = False
+        for v in vertices:
+            if pos[v] >= 0:
+                raise ValueError("path contains a repeated vertex")
+            self._push(v, True)
+
+    def __len__(self):
+        return self.hi - self.lo
+
+    @property
+    def first(self):
+        return self.arr[self.hi - 1] if self.flip else self.arr[self.lo]
+
+    @property
+    def last(self):
+        return self.arr[self.lo] if self.flip else self.arr[self.hi - 1]
+
+    def at(self, i):
+        """The vertex at logical position i."""
+        return self.arr[self.hi - 1 - i] if self.flip else self.arr[self.lo + i]
+
+    def position(self, v):
+        """The logical position of v, or None when v is off the path."""
+        k = self.pos[v]
+        if k < 0:
+            return None
+        return self.hi - 1 - k if self.flip else k - self.lo
+
+    def vertices(self):
+        seq = self.arr[self.lo : self.hi]
+        if self.flip:
+            seq.reverse()
+        return tuple(seq)
+
+    def freeze(self):
+        return Path(self.vertices())
+
+    def reverse(self):
+        """Swap the fixed and the mobile end."""
+        self.flip = not self.flip
+
+    def rotate(self, i):
+        """Rotate at logical position i, 0 <= i <= q-3, whose vertex the
+        caller has checked to be adjacent to the last vertex: the vertices
+        after position i are reversed.  Returns (broken edge, new endpoint).
+        """
+        lo, hi = self.lo, self.hi
+        if not 0 <= i <= hi - lo - 3:
+            raise ValueError(f"pivot index {i} out of range for length {hi - lo}")
+        arr = self.arr
+        if self.flip:
+            pivot = hi - 1 - i
+            a, b = lo, pivot
+            new_end = arr[pivot - 1]
+        else:
+            pivot = lo + i
+            a, b = pivot + 1, hi
+            new_end = arr[pivot + 1]
+        tail = arr[a:b]
+        tail.reverse()
+        arr[a:b] = tail
+        pos = self.pos
+        for k, v in enumerate(tail, a):
+            pos[v] = k
+        return edge_key(arr[pivot], new_end), new_end
+
+    def _push(self, v, high):
+        if high:
+            self.arr[self.hi] = v
+            self.pos[v] = self.hi
+            self.hi += 1
+        else:
+            self.lo -= 1
+            self.arr[self.lo] = v
+            self.pos[v] = self.lo
+
+    def extend(self, g, rng=None):
+        """Greedily extend at both endpoints until neither has an unused
+        neighbor, the mobile end first.
+
+        Deterministic (smallest neighbor first) unless an rng is supplied.
+        """
+        pos = self.pos
+
+        def pick(v):
+            options = [u for u in g.neighbors(v) if pos[u] < 0]
+            if not options:
+                return None
+            if rng is None:
+                return min(options)
+            return rng.choice(options)
+
+        while True:
+            nxt = pick(self.last)
+            if nxt is not None:
+                self._push(nxt, not self.flip)
+                continue
+            prev = pick(self.first)
+            if prev is not None:
+                self._push(prev, self.flip)
+                continue
+            break
+
+
 def extend(g, path, rng=None):
     """Greedily extend at both endpoints until neither has an unused neighbor.
 
     Deterministic (smallest neighbor first) unless an rng is supplied.
     """
-    seq = list(path.vertices)
-    used = set(seq)
-
-    def pick(v):
-        options = [u for u in g.neighbors(v) if u not in used]
-        if not options:
-            return None
-        if rng is None:
-            return min(options)
-        return rng.choice(options)
-
-    while True:
-        nxt = pick(seq[-1])
-        if nxt is not None:
-            seq.append(nxt)
-            used.add(nxt)
-            continue
-        prev = pick(seq[0])
-        if prev is not None:
-            seq.insert(0, prev)
-            used.add(prev)
-            continue
-        break
-    return Path(seq)
+    buf = PathBuf(g.n, path.vertices)
+    buf.extend(g, rng)
+    return buf.freeze()
 
 
 def is_maximal(g, path):
@@ -305,7 +417,7 @@ def reconstruct_path(family, v):
         raise ValueError(f"vertex {v} is not in the family")
     path = family.paths[v]
     if path.first != family.fixed or path.last != v:
-        raise AssertionError(f"stored path for endpoint {v} has the wrong endpoints")
+        raise SoundnessError(f"stored path for endpoint {v} has the wrong endpoints")
     return path
 
 
@@ -315,8 +427,10 @@ def replay_chain(g, base, steps):
     for step in steps:
         idx = path.pos[step.pivot]
         path, applied = rotate(g, path, idx)
-        assert applied.broken_edge == step.broken_edge
-        assert applied.new_endpoint == step.new_endpoint
+        if applied.broken_edge != step.broken_edge:
+            raise SoundnessError(f"replayed rotation at {step.pivot} breaks another edge")
+        if applied.new_endpoint != step.new_endpoint:
+            raise SoundnessError(f"replayed rotation at {step.pivot} ends elsewhere")
     return path
 
 

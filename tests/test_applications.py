@@ -33,6 +33,8 @@ from hamlab import (
     validate_cycle,
     validate_path,
 )
+from hamlab import applications
+from hamlab.applications import ORACLE_CAP
 
 
 def permutation_hamiltonian(g):
@@ -75,6 +77,22 @@ def test_hamilton_path_oracle():
     assert not hamilton_path_oracle(g, 0, 2)[0]
     assert hamilton_connected_oracle(complete(6))
     assert not hamilton_connected_oracle(cycle_graph(6))
+
+
+def test_oracles_refuse_graphs_over_the_cap(monkeypatch):
+    # the refusal must come before the subset DP builds its 2^n table
+    def no_dp(*args):
+        pytest.fail("the subset DP ran on a graph over the cap")
+
+    monkeypatch.setattr(applications, "_dp_paths_from", no_dp)
+    g = cycle_graph(ORACLE_CAP + 1)
+    for call in (
+        lambda: hamiltonian_oracle(g),
+        lambda: hamilton_path_oracle(g, 0, 1),
+        lambda: hamilton_connected_oracle(g),
+    ):
+        with pytest.raises(ValueError, match=f"oracle capped at n={ORACLE_CAP}"):
+            call()
 
 
 def test_hamilton_path_between_examples():

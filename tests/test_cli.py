@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from hamlab.cli import EXIT_INDETERMINATE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from hamlab.conditions import work_budget
 
 
 def run(capsys, *argv):
@@ -196,6 +199,32 @@ def test_env_work_budget(capsys, monkeypatch):
     assert code == EXIT_INDETERMINATE
     payload = json.loads(out)
     assert "error" in payload
+
+
+def test_env_work_budget_float_notation(capsys, monkeypatch):
+    # the README writes the default budget as 1e8
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "1e8")
+    assert work_budget() == 10**8
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "1e1")
+    code, out = run(
+        capsys, "check", "--expansion", "--s", "3", "--expand-d", "2",
+        "--family", "complete", "--n", "30",
+    )
+    assert code == EXIT_INDETERMINATE
+    assert "error" in json.loads(out)
+
+
+def test_env_work_budget_rejects_bad_values(capsys, monkeypatch):
+    for text in ("-1", "-1e3", "2.5", "1e-3", "ten", "nan", "inf", "1e400"):
+        monkeypatch.setenv("HAMLAB_WORK_BUDGET", text)
+        with pytest.raises(ValueError, match="HAMLAB_WORK_BUDGET"):
+            work_budget()
+        code = main(
+            ["check", "--expansion", "--s", "3", "--expand-d", "2",
+             "--family", "complete", "--n", "30"]
+        )
+        assert code == EXIT_USAGE
+        assert "HAMLAB_WORK_BUDGET" in capsys.readouterr().err
 
 
 def test_check_conditions_on_gnp_with_d(capsys):

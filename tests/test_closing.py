@@ -9,7 +9,11 @@ import pytest
 from hamlab import (
     CloseFailure,
     Cycle,
+    Graph,
     Path,
+    RotationStep,
+    SoundnessError,
+    Verdict,
     build_contracted,
     close_heuristic,
     close_proof_faithful,
@@ -24,11 +28,14 @@ from hamlab import (
     hamiltonian_oracle,
     path_graph,
     petersen,
+    replay_chain,
+    rotate,
     select_sigma0,
     tau_sequences_of,
     unbroken_segments,
     validate_cycle,
 )
+from hamlab import closing
 from hamlab.closing import TauSequence
 
 
@@ -371,3 +378,20 @@ def test_gnp_positive_rate_auto():
             got += res.found
     assert pos >= 15
     assert got == pos
+
+
+def test_soundness_checks_raise_soundness_error(monkeypatch):
+    # a cycle that fails validation is refused by an explicit raise, which
+    # `python -O` keeps, in both closers and in chain replay
+    monkeypatch.setattr(closing, "validate_cycle", lambda g, seq: Verdict(False, "rejected"))
+    g = cycle_graph(8)
+    with pytest.raises(SoundnessError, match="rejected"):
+        close_heuristic(g, Path((0,)))
+    with pytest.raises(SoundnessError, match="invalid cycle: rejected"):
+        close_proof_faithful(g, Path(range(8)), rho=1)
+    p = Path(range(5))
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
+    _, step = rotate(g, p, 1)
+    forged = RotationStep(step.pivot, (0, 1), step.new_endpoint)
+    with pytest.raises(SoundnessError, match="breaks another edge"):
+        replay_chain(g, p, [forged])

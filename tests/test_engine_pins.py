@@ -2,9 +2,11 @@
 
 The expected values were recorded from the implementation that kept a
 separate breadth-first closure in `rotation`, `pivots` and `closing` and two
-layered endpoint-family loops.  Any refactor of the engine must reproduce them
-exactly.  Large structures (chains, witness paths) are pinned by a digest of
-their canonical JSON.
+layered endpoint-family loops; the heuristic-search values were recorded from
+the loop that rebuilt a frozen `Path` for every rotation, extension and
+reversal.  Any refactor of the engine must reproduce them exactly.  Large
+structures (chains, witness paths) are pinned by a digest of their canonical
+JSON.
 """
 
 import hashlib
@@ -22,12 +24,15 @@ from hamlab import (
     extend,
     find_hamilton_cycle,
     gnp,
+    hamilton_path_between,
     hamiltonian_oracle,
     petersen,
     process_bad_vertices,
+    random_regular,
     small_aware_family,
     small_vertices,
 )
+from hamlab import applications, closing
 from hamlab.closing import TauSequence, build_contracted, decompose, model_endpoint_paths
 from hamlab.pivots import PivotAudit
 
@@ -451,3 +456,110 @@ EXPECTED_PROOF_FAITHFUL_SEARCH = {'gnp': {'broken_edges': '1b15a9bde551bc62',
 
 def test_proof_faithful_search_pins():
     assert observe_proof_faithful_search() == EXPECTED_PROOF_FAITHFUL_SEARCH
+
+
+# ---------------------------------------------------------------------------
+# find_hamilton_cycle, heuristic mode, and the protected-edge heuristic closing
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs (kwargs, result) per call."""
+    real = getattr(module, name)
+    log = []
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append((kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return log
+
+
+def observe_heuristic_search(monkeypatch):
+    absorbed = _record_calls(monkeypatch, closing, "absorb")
+    n = 300
+    sparse_p = (math.log(n) + math.log(math.log(n))) / n
+    out = {}
+    for name, g, kwargs in (
+        ("regular", random_regular(200, 3, seed="pins:heuristic:rr"), {"seed": 1}),
+        ("gnp", gnp(n, sparse_p, seed="pins:heuristic:gnp:1"), {"seed": 1}),
+        (
+            "regular_budget",
+            random_regular(200, 3, seed="pins:heuristic:rr"),
+            {"seed": 1, "budget": 100},
+        ),
+        ("petersen_budget", petersen(), {"seed": 0, "budget": 200}),
+    ):
+        absorbed.clear()
+        res = find_hamilton_cycle(g, mode="heuristic", **kwargs)
+        out[name] = {
+            "stage": res.stage,
+            "rotations": res.stats["rotations"],
+            "restarts": res.stats["restarts"],
+            "absorptions": len(absorbed),
+            "broken_edges": _digest(sorted(res.stats.get("broken_edges", ()))),
+            "cycle": _digest(list(res.cycle.vertices)) if res.found else None,
+        }
+    return out
+
+
+EXPECTED_HEURISTIC_SEARCH = {'gnp': {'absorptions': 14,
+         'broken_edges': '569b19f142143e83',
+         'cycle': 'af6fd4ac5bf10b97',
+         'restarts': 0,
+         'rotations': 130,
+         'stage': None},
+ 'petersen_budget': {'absorptions': 0,
+                     'broken_edges': 'a0da202a5676fdf3',
+                     'cycle': None,
+                     'restarts': 0,
+                     'rotations': 200,
+                     'stage': 'budget'},
+ 'regular': {'absorptions': 2,
+             'broken_edges': 'e313194e4f8bbf62',
+             'cycle': 'cd255f9c63cb26b5',
+             'restarts': 0,
+             'rotations': 284,
+             'stage': None},
+ 'regular_budget': {'absorptions': 2,
+                    'broken_edges': 'bcd747ecc989badb',
+                    'cycle': None,
+                    'restarts': 0,
+                    'rotations': 100,
+                    'stage': 'budget'}}
+
+
+def test_heuristic_search_pins(monkeypatch):
+    assert observe_heuristic_search(monkeypatch) == EXPECTED_HEURISTIC_SEARCH
+
+
+def observe_protected_heuristic(monkeypatch):
+    closings = _record_calls(monkeypatch, applications, "close_heuristic")
+    g = random_regular(120, 3, seed="pins:heuristic:between:1")
+    res = hamilton_path_between(g, 0, 60, mode="heuristic", seed=1)
+    protected = [
+        (kwargs["stats"]["rotations"], type(outcome).__name__)
+        for kwargs, outcome in closings
+        if kwargs.get("protected_edge") is not None
+    ]
+    return {
+        "path": _digest(list(res.path.vertices)) if res.found else None,
+        "stage": res.stage,
+        "rotations": res.stats["rotations"],
+        "restarts": res.stats["restarts"],
+        "broken_edges": _digest(sorted(res.broken_edges)),
+        "protected_closings": protected,
+    }
+
+
+EXPECTED_PROTECTED_HEURISTIC = {'broken_edges': '66e7cae3d182f141',
+ 'path': '046510152245b48a',
+ 'protected_closings': [(321, 'Cycle')],
+ 'restarts': 0,
+ 'rotations': 688,
+ 'stage': None}
+
+
+def test_protected_heuristic_pins(monkeypatch):
+    assert observe_protected_heuristic(monkeypatch) == EXPECTED_PROTECTED_HEURISTIC

@@ -1,6 +1,8 @@
 """Module boundaries: no hamlab module uses another module's private names,
 whether imported by name (`from .rotation import _place`) or reached through
-an imported module (`from . import rotation` then `rotation._place`)."""
+an imported module (`from . import rotation` then `rotation._place`).  The
+soundness checks of the rotation engine and the closing routes are explicit
+raises, not `assert` statements, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -93,3 +95,34 @@ self._cache
         "applications:9 uses hamlab.graph._helper",
         "applications:10 uses hamlab.closing._absorb",
     }
+
+
+# modules whose soundness checks must survive `python -O`
+EXPLICIT_CHECKS = ("closing", "rotation")
+
+
+def _asserts(source, module):
+    return [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_assert_statements_in_soundness_modules():
+    found = [
+        hit
+        for module in EXPLICIT_CHECKS
+        for hit in _asserts((PACKAGE / f"{module}.py").read_text(), module)
+    ]
+    assert found == []
+
+
+def test_assert_checker_sees_asserts():
+    source = """
+def f(x):
+    assert x, "message"
+    if not x:
+        raise AssertionError("kept under -O")
+"""
+    assert _asserts(source, "closing") == ["closing:3"]
