@@ -30,6 +30,7 @@ from .conditions import (
 from .graph import (
     Cycle,
     Path,
+    SoundnessError,
     edge_key,
     is_connected,
     neighborhood,
@@ -75,7 +76,8 @@ def _dp_backtrack(g, dp, adj, start, last, mask):
     while mask != 1 << start:
         prev_mask = mask ^ (1 << seq[-1])
         options = dp[prev_mask] & adj[seq[-1]]
-        assert options, "backtrack lost the trail"
+        if not options:
+            raise SoundnessError("backtrack lost the trail")
         u = (options & -options).bit_length() - 1
         seq.append(u)
         mask = prev_mask
@@ -99,7 +101,9 @@ def hamiltonian_oracle(g):
     last = (closers & -closers).bit_length() - 1
     seq = _dp_backtrack(g, dp, adj, 0, last, full)
     cycle = Cycle(seq)
-    assert validate_cycle(g, cycle.vertices, hamilton=True)
+    verdict = validate_cycle(g, cycle.vertices, hamilton=True)
+    if not verdict:
+        raise SoundnessError(f"oracle cycle is invalid: {verdict.reason}")
     return True, cycle
 
 
@@ -117,7 +121,9 @@ def hamilton_path_oracle(g, u, v):
         return False, None
     seq = _dp_backtrack(g, dp, adj, u, v, full)
     path = Path(seq)
-    assert validate_path(g, path.vertices, endpoints=(u, v))
+    verdict = validate_path(g, path.vertices, endpoints=(u, v))
+    if not verdict:
+        raise SoundnessError(f"oracle path is invalid: {verdict.reason}")
     return True, path
 
 
@@ -195,12 +201,15 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
             continue
         cycle_seq = res.cycle.vertices
         spanning = _cycle_to_path_with_edge(cycle_seq, u, v)
-        assert validate_path(g_uv, spanning)
+        verdict = validate_path(g_uv, spanning)
+        if not verdict:
+            raise SoundnessError(f"opened cycle is not a path: {verdict.reason}")
         pos = {w: i for i, w in enumerate(spanning)}
         if {spanning[0], spanning[-1]} == {u, v}:
             closed = Cycle(spanning)
         else:
-            assert abs(pos[u] - pos[v]) == 1, "protected edge must lie on the path"
+            if abs(pos[u] - pos[v]) != 1:
+                raise SoundnessError("protected edge must lie on the path")
             closed = _close_protected(
                 g_uv, Path(spanning), protected, mode, budget, (seed, attempt),
                 stats, broken_log,
@@ -209,7 +218,8 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
             continue
         out = _strip_protected(closed.vertices, u, v)
         verdict = validate_path(g, out, endpoints=(u, v))
-        assert verdict, verdict.reason
+        if not verdict:
+            raise SoundnessError(verdict.reason)
         return PathSearchResult(Path(out), None, stats, broken_log)
     return PathSearchResult(None, "retries_exhausted", stats, broken_log)
 
@@ -237,9 +247,9 @@ def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broke
         broken_log.update(local.get("broken_edges", set()))
         if isinstance(outcome, Cycle):
             cyc = outcome.vertices
-            assert protected in {
-                edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])
-            }, "protected edge missing from the closed cycle"
+            closed_edges = {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+            if protected not in closed_edges:
+                raise SoundnessError("protected edge missing from the closed cycle")
             return outcome
     return None
 
@@ -248,7 +258,8 @@ def _strip_protected(cycle_seq, u, v):
     n = len(cycle_seq)
     pos = {w: i for i, w in enumerate(cycle_seq)}
     i, j = pos[u], pos[v]
-    assert (i + 1) % n == j or (j + 1) % n == i
+    if not ((i + 1) % n == j or (j + 1) % n == i):
+        raise SoundnessError(f"{u} and {v} are not adjacent on the cycle")
     k = i if (i + 1) % n == j else j
     return tuple(cycle_seq[k + 1 :] + cycle_seq[: k + 1])
 
@@ -263,7 +274,9 @@ def hamilton_cycle_through_edge(g, e, mode="auto", budget=100000, seed=0):
         return None
     seq = res.path.vertices
     cycle = Cycle(seq)
-    assert validate_cycle(g, cycle.vertices, hamilton=True)
+    verdict = validate_cycle(g, cycle.vertices, hamilton=True)
+    if not verdict:
+        raise SoundnessError(f"cycle through the edge is invalid: {verdict.reason}")
     return cycle
 
 
@@ -409,7 +422,10 @@ def cycle_of_length_k(
             real = [labels[v] for v in res.cycle.vertices]
             cycle = Cycle(real)
             verdict = validate_cycle(g, cycle.vertices)
-            assert verdict and len(cycle) == k
+            if not verdict:
+                raise SoundnessError(f"lifted cycle is invalid: {verdict.reason}")
+            if len(cycle) != k:
+                raise SoundnessError(f"lifted cycle has length {len(cycle)}, not {k}")
             return KCycleResult(cycle, attempt + 1, strip, stats)
     return KCycleResult(None, retries, strip, stats)
 
@@ -482,7 +498,8 @@ def small_aware_family(
         except _Restart as restart:
             base = restart.args[0]
             continue
-        assert not any(v in small for layer in fam.layers[1:] for v in layer)
+        if any(v in small for layer in fam.layers[1:] for v in layer):
+            raise SoundnessError("a small vertex was placed as an endpoint")
         fam.special_rotations = special_rotations
         return fam
 

@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # a soundness check failed: a bug in hamlab, not in the input
 
 SCHEMA = 1
 SEARCH_MODES = ["proof_faithful", "heuristic", "auto"]
@@ -407,6 +408,9 @@ def main(argv=None):
     except WorkBudgetExceeded as exc:
         sys.stderr.write(f"work budget exceeded: {exc}\n")
         return EXIT_INDETERMINATE
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ the search restarts from the longer path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -42,16 +43,17 @@ class SegmentDecomposition:
     base: Path
     rho: int
     segments: tuple  # 2*rho contiguous runs, in base order
+    seg_of: tuple  # base position -> index of the segment holding it
 
     @property
     def count(self):
         return len(self.segments)
 
     def segment_index_of(self, v):
-        for i, seg in enumerate(self.segments):
-            if v in seg:
-                return i
-        raise KeyError(v)
+        i = self.base.pos.get(v)
+        if i is None:
+            raise KeyError(v)
+        return self.seg_of[i]
 
 
 def decompose(path, rho, protected_edge=None):
@@ -86,8 +88,10 @@ def decompose(path, rho, protected_edge=None):
                     bounds[i] = (a, b + 1)
                     bounds[i + 1] = (b + 1, bounds[i + 1][1])
                 break
-    segments = tuple(path.vertices[a:b] for a, b in bounds if b > a)
-    return SegmentDecomposition(path, rho, segments)
+    bounds = [(a, b) for a, b in bounds if b > a]
+    segments = tuple(path.vertices[a:b] for a, b in bounds)
+    seg_of = tuple(i for i, (a, b) in enumerate(bounds) for _ in range(a, b))
+    return SegmentDecomposition(path, rho, segments, seg_of)
 
 
 @dataclass(frozen=True)
@@ -99,33 +103,40 @@ class RotatedPathRecord:
     unbroken: tuple  # (segment index, reversed?, start position), by appearance
 
 
-def unbroken_segments(dec, path, pair=None, rotations=0):
-    """Mark which segments survive intact (forward or reversed) on `path`."""
+def unbroken_segments(dec, path, pair=None, rotations=0, candidates=None):
+    """Mark which segments survive intact (forward or reversed) on `path`.
+
+    A base edge is broken when its ends are not adjacent on `path`, and a
+    segment survives when none of its internal edges is broken.  Only the
+    `candidates` edges are tested; with none given, every base edge is.  For
+    a rotated path the broken edges of its rotation chain are enough, since
+    every base edge the path has lost was broken by some step of the chain,
+    and then a record costs O(rho log rho), not O(n).
+    """
+    base_pos = dec.base.pos
     pos = path.pos
-    present = set()
-    seq = path.vertices
-    for a, b in zip(seq, seq[1:]):
-        present.add(edge_key(a, b))
-    base_seq = dec.base.vertices
-    broken = frozenset(
-        e
-        for e in (edge_key(a, b) for a, b in zip(base_seq, base_seq[1:]))
-        if e not in present
-    )
+    seg_of = dec.seg_of
+    if candidates is None:
+        base_seq = dec.base.vertices
+        candidates = zip(base_seq, base_seq[1:])
+    broken = set()
+    cut = set()  # segments with a broken internal edge
+    for u, v in candidates:
+        i, j = base_pos[u], base_pos[v]
+        if abs(i - j) != 1 or abs(pos[u] - pos[v]) == 1:
+            continue
+        broken.add(edge_key(u, v))
+        lo = min(i, j)
+        if seg_of[lo] == seg_of[lo + 1]:
+            cut.add(seg_of[lo])
     found = []
     for idx, seg in enumerate(dec.segments):
-        positions = [pos[v] for v in seg]
-        if len(seg) == 1:
-            found.append((idx, False, positions[0]))
+        if idx in cut:
             continue
-        step = positions[1] - positions[0]
-        if abs(step) != 1:
-            continue
-        if any(b - a != step for a, b in zip(positions, positions[1:])):
-            continue
-        found.append((idx, step < 0, min(positions[0], positions[-1])))
+        first, last = pos[seg[0]], pos[seg[-1]]
+        found.append((idx, last < first, min(first, last)))
     found.sort(key=lambda item: item[2])
-    return RotatedPathRecord(pair, path, rotations, broken, tuple(found))
+    return RotatedPathRecord(pair, path, rotations, frozenset(broken), tuple(found))
 
 
 @dataclass(frozen=True)
@@ -143,8 +154,6 @@ class TauSequence:
 
 def tau_sequences_of(record, tau):
     """Every tau-sequence contained in the record (order of appearance kept)."""
-    import itertools
-
     oriented = [(seg, rev) for seg, rev, _ in record.unbroken]
     return [TauSequence(c) for c in itertools.combinations(oriented, tau)]
 
@@ -152,17 +161,22 @@ def tau_sequences_of(record, tau):
 def select_sigma0(records, tau, must_include=None):
     """Pick the tau-sequence contained in the most records.
 
-    Returns (sigma0, pair set).  Counts distinct (a, b) pairs.  With
-    `must_include`, only sequences using that segment index are considered.
+    Returns (sigma0, pair set).  Counts distinct (a, b) pairs; ties go to the
+    larger entries.  With `must_include`, only sequences using that segment
+    index are considered.  Records with the same oriented layout contain the
+    same sequences, so each distinct layout is enumerated once.
     """
-    counts = {}
+    layouts = {}
     for rec in records:
         if len(rec.unbroken) < tau:
             raise ValueError("record has fewer unbroken segments than tau")
-        for seq in tau_sequences_of(rec, tau):
-            if must_include is not None and must_include not in seq.segment_ids():
-                continue
-            counts.setdefault(seq.entries, set()).add(rec.pair)
+        layout = tuple((seg, rev) for seg, rev, _ in rec.unbroken)
+        layouts.setdefault(layout, set()).add(rec.pair)
+    counts = {}
+    for layout, pairs in layouts.items():
+        for entries in itertools.combinations(layout, tau):
+            if must_include is None or any(seg == must_include for seg, _ in entries):
+                counts.setdefault(entries, set()).update(pairs)
     if not counts:
         return None, set()
     best = max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
@@ -485,7 +499,8 @@ def _pipeline_once(
         r = targets.pair_rotations[pair]
         if r > rho_eff:
             continue
-        rec = unbroken_segments(dec, ppath, pair=pair, rotations=r)
+        chain = targets.chain_broken_edges(pair)
+        rec = unbroken_segments(dec, ppath, pair=pair, rotations=r, candidates=chain)
         if len(rec.unbroken) >= tau:
             records.append(rec)
     if not records:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import bfs_distances, neighborhood
+from .graph import SoundnessError, bfs_distances, neighborhood
 
 DEFAULT_WORK_BUDGET = 10**8
 DEFAULT_FCONN_N = 18
@@ -234,7 +234,8 @@ def check_expansion(g, s, d, mode="exact", budget=None, samples=2000, seed=0):
         work += 1
         if len(neighborhood(g, combo)) < d * len(combo):
             witness = sorted(combo)
-            assert len(neighborhood(g, witness)) < d * len(witness)
+            if len(neighborhood(g, witness)) >= d * len(witness):
+                raise SoundnessError(f"expansion witness {witness} expands")
             return ConditionReport(
                 "expansion", FAILS, {"S": witness}, params, work, mode
             )
@@ -278,7 +279,8 @@ def check_joined(g, s, mode="exact", budget=None, samples=2000, seed=0):
         rest = _joined_witness(g, combo)
         if len(rest) >= s:
             a, b = sorted(combo), rest[:s]
-            assert not any(g.has_edge(u, v) for u in a for v in b)
+            if any(g.has_edge(u, v) for u in a for v in b):
+                raise SoundnessError(f"joined witness {a}, {b} has an edge between")
             return ConditionReport(
                 "joined", FAILS, {"A": a, "B": b}, params, work, mode
             )
@@ -460,7 +462,8 @@ def check_f_connected(g, f, max_n=DEFAULT_FCONN_N):
         a_only = set(a) - set(b)
         cut = set(a) & set(b)
         if len(cut) < f(len(a_only)):
-            assert is_separation(g, a, b)
+            if not is_separation(g, a, b):
+                raise SoundnessError(f"witness {a}, {b} is not a separation")
             return ConditionReport(
                 "f-connected", FAILS, {"A": a, "B": b}, params, work, "exact"
             )

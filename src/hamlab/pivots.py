@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, Path, validate_path
+from .graph import Graph, Path, SoundnessError, validate_path
 from .rotation import closure, rotate, rotated
 
 GOOD_RATIO = 1.0 / 43.0
@@ -234,14 +234,16 @@ def process_bad_vertices(h, audit):
                     continue
                 seq = paths[src]
                 i = seq.index(cand)
-                assert i <= len(seq) - 3, "pivot adjacent to its endpoint"
+                if i > len(seq) - 3:
+                    raise SoundnessError("pivot adjacent to its endpoint")
                 child = rotated(seq, i)
                 ep = child[-1]
                 if ep in placed_set or ep in w_union or ep in x_set or ep == w_vertex:
                     continue
                 placed_set.add(ep)
                 placed.append((ep, child))
-            assert len(placed) >= 2 * len(w_t), "doubling shortfall (internal bug)"
+            if len(placed) < 2 * len(w_t):
+                raise SoundnessError("doubling shortfall (internal bug)")
             placed.sort()
             placed = placed[: 2 * len(w_t)]
             layer = []
@@ -256,21 +258,25 @@ def process_bad_vertices(h, audit):
             x_set |= set(layer)
         x_set |= t_t
         traces.append(TraceRecord(v_bad, False, [list(w) for w in w_layers], final_t))
-        _assert_ux(hg, spine, spine_pos, u_set, x_set, traces)
+        _check_ux(hg, spine, spine_pos, u_set, x_set, traces)
     cert = ProcessingCertificate(u_set, x_set, traces)
-    _assert_ux(hg, spine, spine_pos, u_set, x_set, traces)
+    _check_ux(hg, spine, spine_pos, u_set, x_set, traces)
     return cert
 
 
-def _assert_ux(hg, spine, spine_pos, u_set, x_set, traces):
-    assert u_set <= x_set
+def _check_ux(hg, spine, spine_pos, u_set, x_set, traces):
+    if not u_set <= x_set:
+        raise SoundnessError("U is not contained in X")
     ext_x = ext_of(spine_pos, x_set, spine)
     nbhd_u = set()
     for v in u_set:
         nbhd_u |= hg.neighbors(v)
-    assert nbhd_u <= ext_x
-    assert 7 * len(u_set) >= len(x_set)
+    if not nbhd_u <= ext_x:
+        raise SoundnessError("N(U) is not contained in ext(X)")
+    if 7 * len(u_set) < len(x_set):
+        raise SoundnessError(f"|X| = {len(x_set)} exceeds 7|U| = {7 * len(u_set)}")
     successors = {
         spine[spine_pos[tr.vertex] + 1] for tr in traces
     }
-    assert successors <= x_set
+    if not successors <= x_set:
+        raise SoundnessError("a bad vertex's successor is not in X")

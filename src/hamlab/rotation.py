@@ -522,10 +522,18 @@ class DoubleRotationTargets:
     bmap: dict
     pair_path: dict  # (a, b) -> Path oriented a -> b
     pair_rotations: dict  # (a, b) -> rotation count
+    pair_chains: dict = field(default_factory=dict)  # (a, b) -> last steps to a, to b
     families_built: int = 0
 
     def pairs(self):
         return sorted(self.pair_path)
+
+    def chain_broken_edges(self, pair):
+        """The edges broken by the rotations from the base path to P(a, b)."""
+        for step in self.pair_chains[pair]:
+            while step is not None:
+                yield step.broken_edge
+                step = step.parent
 
 
 def double_rotation_targets(
@@ -570,4 +578,5 @@ def double_rotation_targets(
         for b in bset:
             out.pair_path[(a, b)] = reconstruct_path(fam2, b)
             out.pair_rotations[(a, b)] = rot_a + fam2.rotations_to(b)
+            out.pair_chains[(a, b)] = (fam1.chains[a], fam2.chains[b])
     return out

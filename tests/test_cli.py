@@ -4,8 +4,17 @@ import json
 
 import pytest
 
-from hamlab.cli import EXIT_INDETERMINATE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from hamlab import closing
+from hamlab.cli import (
+    EXIT_INDETERMINATE,
+    EXIT_INTERNAL,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from hamlab.conditions import work_budget
+from hamlab.graph import Verdict
 
 
 def run(capsys, *argv):
@@ -240,3 +249,13 @@ def test_check_conditions_on_gnp_with_d(capsys):
 def test_family_missing_parameter_is_usage_error(capsys):
     assert main(["gen", "--family", "gnp", "--n", "20"]) == EXIT_USAGE
     assert "--p" in capsys.readouterr().err
+
+
+def test_soundness_failure_is_internal_error(capsys, monkeypatch):
+    # a validator that rejects every cycle trips the closer's soundness check
+    monkeypatch.setattr(closing, "validate_cycle", lambda g, seq: Verdict(False, "rejected"))
+    code = main(["hamilton", "--family", "complete", "--n", "8", "--mode", "heuristic"])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: rejected\n"

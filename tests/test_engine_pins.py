@@ -4,9 +4,11 @@ The expected values were recorded from the implementation that kept a
 separate breadth-first closure in `rotation`, `pivots` and `closing` and two
 layered endpoint-family loops; the heuristic-search values were recorded from
 the loop that rebuilt a frozen `Path` for every rotation, extension and
-reversal.  Any refactor of the engine must reproduce them exactly.  Large
-structures (chains, witness paths) are pinned by a digest of their canonical
-JSON.
+reversal; the segment-record and sigma0 values were recorded from the
+record stage that rebuilt every record from the whole pair path and counted
+every tau-sequence of every record.  Any refactor of the engine must
+reproduce them exactly.  Large structures (chains, witness paths, records)
+are pinned by a digest of their canonical JSON.
 """
 
 import hashlib
@@ -563,3 +565,128 @@ EXPECTED_PROTECTED_HEURISTIC = {'broken_edges': '66e7cae3d182f141',
 
 def test_protected_heuristic_pins(monkeypatch):
     assert observe_protected_heuristic(monkeypatch) == EXPECTED_PROTECTED_HEURISTIC
+
+
+# ---------------------------------------------------------------------------
+# close_proof_faithful: the segment records and the sigma0 choice
+
+
+def _record_view(rec):
+    unbroken = [list(u) for u in rec.unbroken]
+    return [list(rec.pair), rec.rotations, sorted(rec.broken_p0), unbroken]
+
+
+def _sigma0_view(sigma0, pairs):
+    entries = [list(e) for e in sigma0.entries] if sigma0 is not None else None
+    return {"sigma0": entries, "pairs": _digest(sorted(pairs))}
+
+
+def observe_pipeline_records(monkeypatch):
+    """Run `close_proof_faithful` with the record stage logged: every record
+    `unbroken_segments` returns, and for every `select_sigma0` call the choice
+    with `must_include` unset and with the protected segment (or segment 0)."""
+    records = _record_calls(monkeypatch, closing, "unbroken_segments")
+    real_select = closing.select_sigma0
+    rounds = []
+
+    def select(recs, tau, must_include=None):
+        rounds.append((list(recs), tau, must_include))
+        return real_select(recs, tau, must_include=must_include)
+
+    monkeypatch.setattr(closing, "select_sigma0", select)
+    out = {}
+    for name, n, c, seed, protect in (
+        ("gnp40", 40, 3.0, 1, False),
+        ("gnp60", 60, 5.0, 2, False),
+        ("gnp50_sparse", 50, 2.0, 3, False),
+        ("gnp50_protected", 50, 4.0, 4, True),
+    ):
+        g = gnp(n, c * math.log(n) / n, seed=f"pins:records:{seed}")
+        p = extend(g, Path((0,)))
+        mid = len(p) // 2
+        protected = edge_key(p[mid], p[mid + 1]) if protect else None
+        records.clear()
+        rounds.clear()
+        res = closing.close_proof_faithful(g, p, protected_edge=protected)
+        choices = []
+        for recs, tau, must in rounds:
+            choices.append({
+                "records": len(recs),
+                "unset": _sigma0_view(*real_select(recs, tau)),
+                "protected_segment": must,
+                "must_include": _sigma0_view(
+                    *real_select(recs, tau, must_include=0 if must is None else must)
+                ),
+            })
+        out[name] = {
+            "outcome": type(res).__name__,
+            "records": len(records),
+            "record_digest": _digest([_record_view(rec) for _, rec in records]),
+            "rotations": sorted({rec.rotations for _, rec in records}),
+            "sigma0": choices,
+        }
+    return out
+
+
+EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
+           'record_digest': 'a6c232d7e2c318ef',
+           'records': 562,
+           'rotations': [1, 2, 3, 4],
+           'sigma0': [{'must_include': {'pairs': '01737988ebfb81ae',
+                                        'sigma0': [[1, True], [0, True]]},
+                       'protected_segment': None,
+                       'records': 286,
+                       'unset': {'pairs': '01737988ebfb81ae',
+                                 'sigma0': [[1, True], [0, True]]}},
+                      {'must_include': {'pairs': '6c81a654dd092d2f',
+                                        'sigma0': [[0, False], [1, False]]},
+                       'protected_segment': None,
+                       'records': 276,
+                       'unset': {'pairs': '6c81a654dd092d2f',
+                                 'sigma0': [[0, False], [1, False]]}}]},
+ 'gnp50_protected': {'outcome': 'Cycle',
+                     'record_digest': '25278126ca56858f',
+                     'records': 900,
+                     'rotations': [1, 2, 3, 4],
+                     'sigma0': [{'must_include': {'pairs': '5d7473dd6c26b630',
+                                                  'sigma0': [[3, False], [4, False]]},
+                                 'protected_segment': 4,
+                                 'records': 300,
+                                 'unset': {'pairs': '62760a8f3925d68d',
+                                           'sigma0': [[7, True], [6, True]]}},
+                                {'must_include': {'pairs': 'a108e796431a1f3e',
+                                                  'sigma0': [[0, False], [1, False]]},
+                                 'protected_segment': 0,
+                                 'records': 300,
+                                 'unset': {'pairs': 'd0ac259e936d4348',
+                                           'sigma0': [[3, True], [2, True]]}},
+                                {'must_include': {'pairs': 'a79ae0aeea8c2ad2',
+                                                  'sigma0': [[4, False], [0, True]]},
+                                 'protected_segment': 0,
+                                 'records': 300,
+                                 'unset': {'pairs': '9257abb70e84ed30',
+                                           'sigma0': [[4, False], [5, False]]}}]},
+ 'gnp50_sparse': {'outcome': 'CloseFailure',
+                  'record_digest': 'bff811a07491d919',
+                  'records': 255,
+                  'rotations': [1, 2, 3, 4, 5],
+                  'sigma0': [{'must_include': {'pairs': '5b6ce0216dd1a095',
+                                               'sigma0': [[0, False], [1, False]]},
+                              'protected_segment': None,
+                              'records': 255,
+                              'unset': {'pairs': 'f7e0f5be5d7bc619',
+                                        'sigma0': [[8, False], [9, False]]}}]},
+ 'gnp60': {'outcome': 'Cycle',
+           'record_digest': '9bdb4af21d8dc274',
+           'records': 300,
+           'rotations': [1, 2, 3, 4],
+           'sigma0': [{'must_include': {'pairs': 'f74c094f09f4e7ad',
+                                        'sigma0': [[0, False], [7, True]]},
+                       'protected_segment': None,
+                       'records': 300,
+                       'unset': {'pairs': '40a767511248a456',
+                                 'sigma0': [[7, True], [6, True]]}}]}}
+
+
+def test_pipeline_record_pins(monkeypatch):
+    assert observe_pipeline_records(monkeypatch) == EXPECTED_PIPELINE_RECORDS

@@ -1,8 +1,8 @@
 """Module boundaries: no hamlab module uses another module's private names,
 whether imported by name (`from .rotation import _place`) or reached through
 an imported module (`from . import rotation` then `rotation._place`).  The
-soundness checks of the rotation engine and the closing routes are explicit
-raises, not `assert` statements, which `python -O` strips."""
+soundness checks of every module are explicit raises, not `assert`
+statements, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -97,8 +97,8 @@ self._cache
     }
 
 
-# modules whose soundness checks must survive `python -O`
-EXPLICIT_CHECKS = ("closing", "rotation")
+# modules whose soundness checks must survive `python -O`: all of them
+EXPLICIT_CHECKS = tuple(sorted(MODULES))
 
 
 def _asserts(source, module):

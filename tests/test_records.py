@@ -1,0 +1,195 @@
+"""Segment records from rotation chains against the whole-path reference:
+testing only the broken edges of a path's rotation chain gives the same
+record as testing every base edge, and both equal the record the whole-path
+computation gives; the sigma0 choice made once per distinct layout equals
+the one made by enumerating every record's tau-sequences."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hamlab import (
+    Graph,
+    Path,
+    RotatedPathRecord,
+    decompose,
+    double_rotation_targets,
+    edge_key,
+    extend,
+    rotate,
+    select_sigma0,
+    unbroken_segments,
+)
+from hamlab.closing import TauSequence
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def reference_unbroken_segments(dec, path, pair=None, rotations=0):
+    """The record stage that rebuilt the edge set of the whole path."""
+    pos = path.pos
+    present = set()
+    seq = path.vertices
+    for a, b in zip(seq, seq[1:]):
+        present.add(edge_key(a, b))
+    base_seq = dec.base.vertices
+    broken = frozenset(
+        e
+        for e in (edge_key(a, b) for a, b in zip(base_seq, base_seq[1:]))
+        if e not in present
+    )
+    found = []
+    for idx, seg in enumerate(dec.segments):
+        positions = [pos[v] for v in seg]
+        if len(seg) == 1:
+            found.append((idx, False, positions[0]))
+            continue
+        step = positions[1] - positions[0]
+        if abs(step) != 1:
+            continue
+        if any(b - a != step for a, b in zip(positions, positions[1:])):
+            continue
+        found.append((idx, step < 0, min(positions[0], positions[-1])))
+    found.sort(key=lambda item: item[2])
+    return RotatedPathRecord(pair, path, rotations, broken, tuple(found))
+
+
+def reference_select_sigma0(records, tau, must_include=None):
+    """The sigma0 choice that enumerated the tau-sequences of every record."""
+    counts = {}
+    for rec in records:
+        if len(rec.unbroken) < tau:
+            raise ValueError("record has fewer unbroken segments than tau")
+        oriented = [(seg, rev) for seg, rev, _ in rec.unbroken]
+        for entries in itertools.combinations(oriented, tau):
+            seq = TauSequence(entries)
+            if must_include is not None and must_include not in seq.segment_ids():
+                continue
+            counts.setdefault(seq.entries, set()).add(rec.pair)
+    if not counts:
+        return None, set()
+    best = max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
+    return TauSequence(best[0]), best[1]
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(4, 16))
+    edges = {edge_key(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
+    extra = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    edges |= {edge_key(u, v) for u, v in extra if u != v}
+    return Graph(n, edges)
+
+
+@st.composite
+def base_paths(draw):
+    """A graph, a path of at least two vertices in it, rho and maybe a
+    protected edge of the path."""
+    g = draw(connected_graphs())
+    start = draw(st.integers(0, g.n - 1))
+    p = extend(g, Path((start,)), random.Random(draw(st.integers(0, 2**16))))
+    rho = draw(st.integers(1, len(p) // 2))
+    protected = None
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(p) - 2))
+        protected = edge_key(p[i], p[i + 1])
+    return g, p, rho, protected
+
+
+def rotation_chain(g, p, protected, moves):
+    """Rotate `p` by `moves`, never breaking the protected edge.  A move
+    either rotates at a drawn pivot, rotates at a pivot whose new edge is one
+    an earlier step broke (when there is one), or swaps the fixed end, as the
+    second stage of the double rotation does.  Returns the path and the steps."""
+    cur = p
+    steps = []
+    for kind, arg in moves:
+        if kind == "reverse":
+            cur = cur.reversed()
+            continue
+        pivots = [
+            i
+            for i in range(len(cur) - 2)
+            if g.has_edge(cur.last, cur[i])
+            and edge_key(cur[i], cur[i + 1]) != protected
+        ]
+        if kind == "readd":
+            broken = {s.broken_edge for s in steps}
+            pivots = [i for i in pivots if edge_key(cur.last, cur[i]) in broken] or pivots
+        if not pivots:
+            continue
+        cur, step = rotate(g, cur, pivots[arg % len(pivots)])
+        steps.append(step)
+    return cur, steps
+
+
+MOVES = st.lists(
+    st.tuples(st.sampled_from(["rotate", "readd", "reverse"]), st.integers(0, 2**16)),
+    max_size=12,
+)
+
+
+@PROPERTY
+@given(base_paths(), st.lists(MOVES, min_size=1, max_size=6), st.data())
+def test_chain_records_equal_the_whole_path_records(case, chains, data):
+    g, p, rho, protected = case
+    dec = decompose(p, rho, protected_edge=protected)
+    records = []
+    for k, moves in enumerate(chains):
+        cur, steps = rotation_chain(g, p, protected, moves)
+        pair = (cur.first, cur.last) if k % 2 else (k, cur.last)
+        expected = reference_unbroken_segments(dec, cur, pair=pair, rotations=len(steps))
+        by_chain = unbroken_segments(
+            dec, cur, pair=pair, rotations=len(steps),
+            candidates=[s.broken_edge for s in steps],
+        )
+        by_scan = unbroken_segments(dec, cur, pair=pair, rotations=len(steps))
+        assert by_chain == expected
+        assert by_scan == expected
+        assert len(expected.broken_p0) <= len(steps)
+        records.append(expected)
+
+    tau = data.draw(st.integers(1, 3))
+    segment = data.draw(st.integers(0, dec.count - 1))
+    protected_segment = dec.segment_index_of(protected[0]) if protected else None
+    for must in (None, segment, protected_segment):
+        if any(len(rec.unbroken) < tau for rec in records):
+            with pytest.raises(ValueError):
+                select_sigma0(records, tau, must_include=must)
+            with pytest.raises(ValueError):
+                reference_select_sigma0(records, tau, must_include=must)
+            kept = [rec for rec in records if len(rec.unbroken) >= tau]
+        else:
+            kept = records
+        assert select_sigma0(kept, tau, must) == reference_select_sigma0(kept, tau, must)
+
+
+@PROPERTY
+@given(base_paths(), st.integers(1, 16))
+def test_pair_chains_give_the_whole_path_records(case, total_target):
+    g, p, rho, protected = case
+    targets = double_rotation_targets(
+        g, p, a_cap=4, total_target=total_target, protected_edge=protected
+    )
+    dec = decompose(p, rho, protected_edge=protected)
+    for pair, ppath in targets.pair_path.items():
+        r = targets.pair_rotations[pair]
+        chain = list(targets.chain_broken_edges(pair))
+        assert len(chain) == r
+        rec = unbroken_segments(dec, ppath, pair=pair, rotations=r, candidates=chain)
+        assert rec == reference_unbroken_segments(dec, ppath, pair=pair, rotations=r)
+
+
+def test_segment_index_of_matches_the_segments():
+    p = Path((3, 0, 7, 1, 5, 2, 6, 4, 8))
+    for rho, protected in ((1, None), (2, None), (4, None), (2, (1, 5)), (4, (5, 2))):
+        dec = decompose(p, rho, protected_edge=protected)
+        for v in p.vertices:
+            assert v in dec.segments[dec.segment_index_of(v)]
+    with pytest.raises(KeyError):
+        dec.segment_index_of(9)
