@@ -6,6 +6,7 @@ Hamiltonicity oracle used as ground truth at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -37,7 +38,14 @@ from .graph import (
     validate_cycle,
     validate_path,
 )
-from .rotation import extend, layered_family, rotate
+from .rotation import (
+    chain_runs,
+    extend,
+    layered_family,
+    reconstruct_path,
+    rotate,
+    runs_path,
+)
 
 ORACLE_CAP = 20
 
@@ -302,8 +310,6 @@ def strip_nonexpanding(g, v0, size_bound, ratio, cap=None, budget=None):
     Halts when no violating set remains or the removed total reaches `cap`
     (default: size_bound, mirroring the n/t stopping rule).
     """
-    import itertools
-
     v0 = set(v0)
     if cap is None:
         cap = size_bound
@@ -460,11 +466,11 @@ def small_aware_family(
     """
     special_rotations = []  # one per restart
 
-    def admit(ep, new_path):
+    def admit(ep, step):
         if ep not in small:
             return True
         if len(special_rotations) < max_restarts:
-            restart_path = _special_rotation(g, new_path)
+            restart_path = _special_rotation(g, runs_path(base, chain_runs(base, step)))
             if restart_path is not None:
                 special_rotations.append(ep)
                 raise _Restart(restart_path)
@@ -569,7 +575,7 @@ def _close_from_family(g, fam, stats):
     fixed = fam.fixed
     for v in sorted(fam.endpoints()):
         if g.has_edge(v, fixed):
-            seq = fam.paths[v].vertices
+            seq = reconstruct_path(fam, v).vertices
             if len(seq) >= 3:
                 return seq
     return None

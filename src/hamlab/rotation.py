@@ -8,6 +8,11 @@ Conventions: a path's fixed endpoint is its first vertex; the mobile endpoint
 is its last.  Pivot positions are 0-based indices into the path; a rotation at
 index i requires an edge from the last vertex to path[i] and 0 <= i <= q-3
 (rotating at the predecessor of the endpoint is degenerate and rejected).
+
+Runs: a rotated path is held as its runs over the base path, a tuple of the
+maximal stretches (a, b) of consecutive base positions a..b in path order; a
+stretch with a > b is walked downwards.  A rotation costs O(runs), and
+`runs_path` builds a `Path` only where a caller needs a whole path.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def rotated(seq, i):
     return seq[: i + 1] + seq[:i:-1]
 
 
-def rotate(g, path, pivot_index, parent=None):
+def rotate(g, path, pivot_index):
     """Rotate `path` at the given pivot position.
 
     Returns (new_path, step).  The new path keeps the same vertex set and
@@ -59,8 +64,61 @@ def rotate(g, path, pivot_index, parent=None):
     # the slice of `rotated`, inlined: the heuristic search rotates in a hot loop
     new_seq = seq[: pivot_index + 1] + seq[: pivot_index : -1]
     broken = edge_key(pivot, seq[pivot_index + 1])
-    step = RotationStep(pivot, broken, seq[pivot_index + 1], parent)
-    return Path(new_seq), step
+    return Path(new_seq), RotationStep(pivot, broken, seq[pivot_index + 1])
+
+
+def rotated_runs(runs, i):
+    """The runs of the path rotated at path position i: the positions after i
+    are reversed and the one new junction is merged when it is
+    base-contiguous.  i = -1 reverses the whole path (swaps its ends)."""
+    offset = 0
+    for k, (a, b) in enumerate(runs):
+        size = abs(b - a) + 1
+        if i < offset + size:
+            break
+        offset += size
+    else:
+        raise ValueError(f"path position {i} is past the end of the path")
+    step = 1 if b >= a else -1
+    x = a + step * (i - offset)  # base position at path position i
+    head = list(runs[:k])
+    if i >= offset:
+        head.append((a, x))
+    rest = ([(x + step, b)] if x != b else []) + list(runs[k + 1 :])
+    tail = [(d, c) for c, d in reversed(rest)]
+    if head and tail and abs(tail[0][0] - head[-1][1]) == 1:
+        head[-1] = (head[-1][0], tail.pop(0)[1])
+    return tuple(head + tail)
+
+
+def run_position(runs, p):
+    """The path position of base position p."""
+    offset = 0
+    for a, b in runs:
+        if a <= p <= b or b <= p <= a:
+            return offset + abs(p - a)
+        offset += abs(b - a) + 1
+    raise ValueError(f"base position {p} is not on the path")
+
+
+def chain_runs(base, step, runs=None):
+    """The runs after the rotation chain ending at `step` (None for no
+    rotation), applied to `runs` (default: the base path itself)."""
+    if runs is None:
+        runs = ((0, len(base) - 1),)
+    if step is not None:
+        for s in step.chain():
+            runs = rotated_runs(runs, run_position(runs, base.pos[s.pivot]))
+    return runs
+
+
+def runs_path(base, runs):
+    """The `Path` that `runs` hold over the base path."""
+    seq = base.vertices
+    out = []
+    for a, b in runs:
+        out.extend(seq[a : b + 1] if a <= b else seq[b : a + 1][::-1])
+    return Path(out)
 
 
 class PathBuf:
@@ -214,22 +272,19 @@ def is_maximal(g, path):
 
 @dataclass
 class EndpointFamily:
-    """Layered endpoint sets S_0..S_t with replayable rotation chains."""
+    """Layered endpoint sets S_0..S_t with replayable rotation chains; the
+    path to an endpoint is rebuilt from its chain by `reconstruct_path`."""
 
     base: Path
     fixed: int
     layers: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)  # endpoint -> RotationStep | None
-    paths: dict = field(default_factory=dict)  # endpoint -> Path
     broken_edges: set = field(default_factory=set)
     schedule: list = field(default_factory=list)
     stopped: str = ""
 
     def endpoints(self):
-        out = set()
-        for layer in self.layers:
-            out.update(layer)
-        return out
+        return set(self.chains)
 
     def chain_steps(self, v):
         step = self.chains[v]
@@ -296,25 +351,30 @@ def layered_family(
 ):
     """Grow the layered endpoint family of `base` (fixed first vertex).
 
-    Layer t is grown from the sources that `schedule(t, previous layer)`
-    returns together with the layer's target and keep size (None keeps every
-    placed endpoint).  Pivots are processed in ascending base-path position;
-    an endpoint already used, already placed, excluded or fixed is skipped,
-    and `admit(endpoint, path)`, when given, decides whether a new one is
-    placed (it may raise to abandon the family).  Each layer is sorted by
-    endpoint and trimmed to the keep size.  The construction stops when the
-    family holds `total_target` endpoints (default ceil(n/3)), a layer comes
-    up empty, or `max_layers` is hit.
+    Layer t is grown from the sources, members of the previous layer, that
+    `schedule(t, previous layer)` returns together with the layer's target
+    and keep size (None keeps every placed endpoint).  Pivots are processed
+    in ascending base-path position; an endpoint already used, already
+    placed, excluded or fixed is skipped, and `admit(endpoint, step)`, when
+    given, decides whether a new one is placed (it may raise to abandon the
+    family).  Each layer is sorted by endpoint and trimmed to the keep size.
+    The construction stops when the family holds `total_target` endpoints
+    (default ceil(n/3)), a layer comes up empty, or `max_layers` is hit.
+    Only the runs of the previous layer's paths are kept, and they are
+    rotated directly: a candidate pivot is a neighbor of its source, the last
+    vertex of the source's path, so every rotation is valid.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
+    seq = base.vertices
+    q = len(seq)
     fixed = base.first
     fam = EndpointFamily(base=base, fixed=fixed)
     terminal = base.last
     fam.layers.append([terminal])
     fam.schedule.append(1)
     fam.chains[terminal] = None
-    fam.paths[terminal] = base
+    runs_of = {terminal: ((0, q - 1),)}  # the previous layer's paths
     used = {terminal}
     if exclude:
         used |= set(exclude)
@@ -328,38 +388,34 @@ def layered_family(
             break
         t += 1
         sources, target, keep = schedule(t, fam.layers[-1])
-        placed = []
-        placed_set = set()
-        for _, pivot, src in _pivot_candidates(g, base, sources, used):
-            path = fam.paths[src]
-            idx = path.pos[pivot]
-            if idx > len(path) - 3:
+        placed = {}  # endpoint -> (runs, step)
+        for i, pivot, src in _pivot_candidates(g, base, sources, used):
+            runs = runs_of[src]
+            idx = run_position(runs, i)
+            if idx > q - 3:
                 continue
-            if protected_edge is not None:
-                if edge_key(pivot, path[idx + 1]) == protected_edge:
-                    continue
-            new_path, step = rotate(g, path, idx, parent=fam.chains[src])
-            ep = step.new_endpoint
-            if ep in used or ep in placed_set or ep == fixed:
+            new_runs = rotated_runs(runs, idx)
+            ep = seq[new_runs[-1][1]]
+            broken = edge_key(pivot, ep)
+            if broken == protected_edge:
                 continue
-            if admit is not None and not admit(ep, new_path):
+            if ep in used or ep in placed or ep == fixed:
                 continue
-            placed_set.add(ep)
-            placed.append((ep, new_path, step))
+            step = RotationStep(pivot, broken, ep, fam.chains[src])
+            if admit is not None and not admit(ep, step):
+                continue
+            placed[ep] = (new_runs, step)
             if stats is not None:
                 stats["rotations"] = stats.get("rotations", 0) + 1
                 stats.setdefault("broken_edges", set()).add(step.broken_edge)
         if not placed:
             fam.stopped = "empty_layer"
             break
-        placed.sort(key=lambda item: item[0])
-        if keep is not None:
-            placed = placed[:keep]
-        layer = []
-        for ep, new_path, step in placed:
-            layer.append(ep)
+        layer = sorted(placed)[:keep]
+        runs_of = {}
+        for ep in layer:
+            runs_of[ep], step = placed[ep]
             fam.chains[ep] = step
-            fam.paths[ep] = new_path
             fam.broken_edges.add(step.broken_edge)
             used.add(ep)
         fam.layers.append(layer)
@@ -409,15 +465,13 @@ def endpoint_family(
 
 
 def reconstruct_path(family, v):
-    """The path from the fixed vertex to endpoint v that the family stored
-    when it placed v (use `replay_chain` to rebuild it from the base path)."""
-    if v == family.fixed:
-        raise ValueError("fixed endpoint is not a family member")
+    """The path from the fixed vertex to endpoint v, rebuilt from v's rotation
+    chain (`replay_chain` also revalidates every rotation in the graph)."""
     if v not in family.chains:
         raise ValueError(f"vertex {v} is not in the family")
-    path = family.paths[v]
+    path = runs_path(family.base, chain_runs(family.base, family.chains[v]))
     if path.first != family.fixed or path.last != v:
-        raise SoundnessError(f"stored path for endpoint {v} has the wrong endpoints")
+        raise SoundnessError(f"chain for endpoint {v} gives the wrong endpoints")
     return path
 
 
@@ -515,25 +569,22 @@ def endpoint_closure_oracle(g, path, fixed=None, max_states=200000):
 
 @dataclass
 class DoubleRotationTargets:
-    """First-stage endpoint set A0 and, per a in A0, the second-stage sets."""
+    """First-stage endpoint set A0, per a in A0 the second-stage sets, and
+    the runs over the base path of every pair path P(a, b)."""
 
     base: Path
     a0: list
     bmap: dict
-    pair_path: dict  # (a, b) -> Path oriented a -> b
+    pair_runs: dict  # (a, b) -> runs of P(a, b), oriented a -> b
     pair_rotations: dict  # (a, b) -> rotation count
-    pair_chains: dict = field(default_factory=dict)  # (a, b) -> last steps to a, to b
     families_built: int = 0
 
     def pairs(self):
-        return sorted(self.pair_path)
+        return sorted(self.pair_runs)
 
-    def chain_broken_edges(self, pair):
-        """The edges broken by the rotations from the base path to P(a, b)."""
-        for step in self.pair_chains[pair]:
-            while step is not None:
-                yield step.broken_edge
-                step = step.parent
+    def pair_path(self, pair):
+        """P(a, b) as a `Path` from a to b."""
+        return runs_path(self.base, self.pair_runs[pair])
 
 
 def double_rotation_targets(
@@ -543,13 +594,13 @@ def double_rotation_targets(
     a_cap=None,
     total_target=None,
     surplus=2.0,
-    max_layers=None,
     protected_edge=None,
     stats=None,
 ):
     """Rotate both path ends in two stages: one family with the first vertex
     fixed, then for each reached endpoint a (up to a_cap) a family of the
-    reconstructed path with a fixed.  Records P(a, b) and rotation counts.
+    path to a, reversed so that a is fixed.  Records the runs of each P(a, b)
+    and its rotation count.
     """
 
     def family(p):
@@ -559,7 +610,6 @@ def double_rotation_targets(
             d=d,
             total_target=total_target,
             surplus=surplus,
-            max_layers=max_layers,
             protected_edge=protected_edge,
             stats=stats,
         )
@@ -569,14 +619,13 @@ def double_rotation_targets(
     chosen = a0 if a_cap is None else a0[:a_cap]
     out = DoubleRotationTargets(path, a0, {}, {}, {}, families_built=1)
     for a in chosen:
-        p_a = reconstruct_path(fam1, a).reversed()  # a first, fixed end mobile
+        runs_a = rotated_runs(chain_runs(path, fam1.chains[a]), -1)  # a first
         rot_a = fam1.rotations_to(a)
-        fam2 = family(p_a)
+        fam2 = family(runs_path(path, runs_a))
         out.families_built += 1
         bset = sorted(fam2.endpoints())
         out.bmap[a] = bset
         for b in bset:
-            out.pair_path[(a, b)] = reconstruct_path(fam2, b)
+            out.pair_runs[(a, b)] = chain_runs(path, fam2.chains[b], runs=runs_a)
             out.pair_rotations[(a, b)] = rot_a + fam2.rotations_to(b)
-            out.pair_chains[(a, b)] = (fam1.chains[a], fam2.chains[b])
     return out

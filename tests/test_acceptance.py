@@ -42,7 +42,7 @@ from hamlab import (
     SpannedGraph,
 )
 from hamlab.closing import decompose, select_sigma0, tau_sequences_of, unbroken_segments
-from hamlab.rotation import double_rotation_targets
+from hamlab.rotation import double_rotation_targets, rotated_runs
 
 
 def verdict(number, ok, detail=""):
@@ -151,13 +151,16 @@ def test_criterion_4_tau_sequence_counting():
         rho = rng.randint(2, min(4, len(p) // 2))
         dec = decompose(p, rho)
         cur = p
+        runs = ((0, len(p) - 1),)
         for _ in range(rng.randint(0, 3)):
             q = len(cur)
             pivots = [j for j in range(q - 2) if g.has_edge(cur.last, cur[j])]
             if not pivots:
                 break
-            cur, _ = rotate(g, cur, rng.choice(pivots))
-        rec = unbroken_segments(dec, cur, pair=(cur.first, cur.last))
+            i = rng.choice(pivots)
+            cur, _ = rotate(g, cur, i)
+            runs = rotated_runs(runs, i)
+        rec = unbroken_segments(dec, runs, pair=(cur.first, cur.last))
         u = len(rec.unbroken)
         for tau in range(1, min(u, 4) + 1):
             assert len(tau_sequences_of(rec, tau)) == math.comb(u, tau)
@@ -175,10 +178,10 @@ def test_criterion_4_tau_sequence_counting():
         targets = double_rotation_targets(g, p, a_cap=4, total_target=6)
         dec = decompose(p, rho)
         recs = []
-        for pair, pp in sorted(targets.pair_path.items()):
+        for pair in targets.pairs():
             if targets.pair_rotations[pair] > rho:
                 continue
-            rec = unbroken_segments(dec, pp, pair=pair)
+            rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair)
             if len(rec.unbroken) >= 2:
                 recs.append(rec)
         if len(recs) < 2:

@@ -27,6 +27,7 @@ from hamlab import (
     hamiltonian_oracle,
     path_graph,
     petersen,
+    reconstruct_path,
     small_aware_family,
     small_vertices,
     strip_nonexpanding,
@@ -228,7 +229,7 @@ def test_small_aware_family_properties():
     for layer in fam.layers[1:]:
         assert not (set(layer) & small)
     for v in fam.endpoints():
-        assert fam.paths[v].first == fam.fixed
+        assert reconstruct_path(fam, v).first == fam.fixed
         # no stored chain ever passes through a small endpoint
         for step in fam.chain_steps(v):
             assert step.new_endpoint not in small

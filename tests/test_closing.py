@@ -37,6 +37,7 @@ from hamlab import (
 )
 from hamlab import closing
 from hamlab.closing import TauSequence
+from hamlab.rotation import rotated_runs
 
 
 def test_decompose_examples():
@@ -59,7 +60,7 @@ def test_decompose_protected_edge():
 def test_unbroken_segments_zero_rotations():
     p = Path(range(12))
     dec = decompose(p, 3)
-    rec = unbroken_segments(dec, p, pair=(0, 11), rotations=0)
+    rec = unbroken_segments(dec, ((0, 11),), pair=(0, 11), rotations=0)
     assert len(rec.unbroken) == 6
     assert all(not rev for _, rev, _ in rec.unbroken)
     assert rec.broken_p0 == frozenset()
@@ -69,7 +70,7 @@ def test_unbroken_segments_one_rotation():
     g = complete(12)
     p = Path(range(12))
     dec = decompose(p, 3)
-    rotated = Path((0, 1, 2, 3, 4, 5, 11, 10, 9, 8, 7, 6))  # pivot 5, broke (5,6)
+    rotated = ((0, 5), (11, 6))  # 0..5 then 11 down to 6: pivot 5, broke (5,6)
     rec = unbroken_segments(dec, rotated, pair=(0, 6), rotations=1)
     assert rec.broken_p0 == frozenset({(5, 6)})
     # segments of the base: (0,1)(2,3)(4,5)(6,7)(8,9)(10,11) all survive
@@ -91,15 +92,18 @@ def test_unbroken_count_bound():
         rho = rng.randint(1, min(4, len(p) // 2))
         dec = decompose(p, rho)
         cur = p
+        runs = ((0, len(p) - 1),)
         rotations = 0
         for _ in range(rng.randint(0, rho)):
             q = len(cur)
             pivots = [j for j in range(q - 2) if g.has_edge(cur.last, cur[j])]
             if not pivots:
                 break
-            cur, _ = rotate(g, cur, rng.choice(pivots))
+            i = rng.choice(pivots)
+            cur, _ = rotate(g, cur, i)
+            runs = rotated_runs(runs, i)
             rotations += 1
-        rec = unbroken_segments(dec, cur, pair=(cur.first, cur.last), rotations=rotations)
+        rec = unbroken_segments(dec, runs, pair=(cur.first, cur.last), rotations=rotations)
         assert len(rec.broken_p0) <= rotations
         assert len(rec.unbroken) >= 2 * rho - rotations
 
@@ -117,13 +121,16 @@ def test_tau_sequence_counts_match_binomial():
         rho = rng.randint(2, min(4, len(p) // 2))
         dec = decompose(p, rho)
         cur = p
+        runs = ((0, len(p) - 1),)
         for _ in range(rng.randint(0, 2)):
             q = len(cur)
             pivots = [j for j in range(q - 2) if g.has_edge(cur.last, cur[j])]
             if not pivots:
                 break
-            cur, _ = rotate(g, cur, rng.choice(pivots))
-        rec = unbroken_segments(dec, cur)
+            i = rng.choice(pivots)
+            cur, _ = rotate(g, cur, i)
+            runs = rotated_runs(runs, i)
+        rec = unbroken_segments(dec, runs)
         u = len(rec.unbroken)
         for tau in range(1, min(u, 3) + 1):
             seqs = tau_sequences_of(rec, tau)
@@ -168,10 +175,10 @@ def test_select_sigma0_matches_full_enumeration():
         targets = double_rotation_targets(g, p, a_cap=4, total_target=6)
         dec = decompose(p, rho)
         records = []
-        for pair, pp in sorted(targets.pair_path.items()):
+        for pair in targets.pairs():
             if targets.pair_rotations[pair] > rho:
                 continue
-            rec = unbroken_segments(dec, pp, pair=pair)
+            rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair)
             if len(rec.unbroken) >= 2:
                 records.append(rec)
         if len(records) < 2:
@@ -189,7 +196,7 @@ def test_select_sigma0_matches_full_enumeration():
 def test_select_sigma0_single_record():
     p = Path(range(8))
     dec = decompose(p, 2)
-    rec = unbroken_segments(dec, p, pair=(0, 7))
+    rec = unbroken_segments(dec, ((0, 7),), pair=(0, 7))
     sigma0, pairs = select_sigma0([rec], 2)
     assert pairs == {(0, 7)}
     with pytest.raises(ValueError):
@@ -200,7 +207,7 @@ def test_select_sigma0_identical_records():
     # identical layouts under distinct pairs: the chosen sequence covers all
     p = Path(range(8))
     dec = decompose(p, 2)
-    records = [unbroken_segments(dec, p, pair=(0, i)) for i in range(1, 5)]
+    records = [unbroken_segments(dec, ((0, 7),), pair=(0, i)) for i in range(1, 5)]
     _, pairs = select_sigma0(records, 2)
     assert pairs == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
@@ -388,7 +395,7 @@ def test_soundness_checks_raise_soundness_error(monkeypatch):
     with pytest.raises(SoundnessError, match="rejected"):
         close_heuristic(g, Path((0,)))
     with pytest.raises(SoundnessError, match="invalid cycle: rejected"):
-        close_proof_faithful(g, Path(range(8)), rho=1)
+        close_proof_faithful(g, Path(range(8)))
     p = Path(range(5))
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
     _, step = rotate(g, p, 1)

@@ -31,6 +31,7 @@ from hamlab import (
     petersen,
     process_bad_vertices,
     random_regular,
+    reconstruct_path,
     small_aware_family,
     small_vertices,
 )
@@ -50,7 +51,9 @@ def _family_view(fam, stats):
         "schedule": list(fam.schedule),
         "stopped": fam.stopped,
         "chains": _digest(fam.to_json()["chains"]),
-        "paths": _digest({str(v): list(p.vertices) for v, p in sorted(fam.paths.items())}),
+        "paths": _digest(
+            {str(v): list(reconstruct_path(fam, v).vertices) for v in sorted(fam.chains)}
+        ),
         "broken": _digest(sorted(fam.broken_edges)),
         "rotations": stats["rotations"],
     }

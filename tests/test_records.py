@@ -1,8 +1,10 @@
-"""Segment records from rotation chains against the whole-path reference:
-testing only the broken edges of a path's rotation chain gives the same
-record as testing every base edge, and both equal the record the whole-path
-computation gives; the sigma0 choice made once per distinct layout equals
-the one made by enumerating every record's tau-sequences."""
+"""Runs and the segment records read from them, against whole paths: along
+random rotation chains the runs track `rotate` and `Path.reversed`, map base
+positions to path positions and stay maximal, and the record read from the
+runs equals the record the whole-path computation gives; every pair of a
+real double rotation gives that record too, and a family's rebuilt paths
+equal its replayed chains; the sigma0 choice made once per distinct layout
+equals the one made by enumerating every record's tau-sequences."""
 
 import itertools
 import random
@@ -18,12 +20,16 @@ from hamlab import (
     decompose,
     double_rotation_targets,
     edge_key,
+    endpoint_family,
     extend,
+    reconstruct_path,
+    replay_chain,
     rotate,
     select_sigma0,
     unbroken_segments,
 )
 from hamlab.closing import TauSequence
+from hamlab.rotation import rotated_runs, run_position, runs_path
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -54,7 +60,7 @@ def reference_unbroken_segments(dec, path, pair=None, rotations=0):
             continue
         found.append((idx, step < 0, min(positions[0], positions[-1])))
     found.sort(key=lambda item: item[2])
-    return RotatedPathRecord(pair, path, rotations, broken, tuple(found))
+    return RotatedPathRecord(pair, rotations, broken, tuple(found))
 
 
 def reference_select_sigma0(records, tau, must_include=None):
@@ -101,16 +107,29 @@ def base_paths(draw):
     return g, p, rho, protected
 
 
+def check_runs(p, runs, cur):
+    """`runs` over the base path `p` hold exactly the path `cur`."""
+    assert runs_path(p, runs) == cur
+    for i, v in enumerate(p.vertices):
+        assert run_position(runs, i) == cur.pos[v]
+    for (_, b), (c, _) in zip(runs, runs[1:]):
+        assert abs(c - b) > 1  # maximal: no run continues the one before it
+
+
 def rotation_chain(g, p, protected, moves):
-    """Rotate `p` by `moves`, never breaking the protected edge.  A move
-    either rotates at a drawn pivot, rotates at a pivot whose new edge is one
-    an earlier step broke (when there is one), or swaps the fixed end, as the
-    second stage of the double rotation does.  Returns the path and the steps."""
+    """Rotate `p` by `moves`, never breaking the protected edge, and track its
+    runs alongside.  A move either rotates at a drawn pivot, rotates at a
+    pivot whose new edge is one an earlier step broke (when there is one), or
+    swaps the fixed end, as the second stage of the double rotation does.
+    Returns the path, its runs and the steps."""
     cur = p
+    runs = ((0, len(p) - 1),)
     steps = []
     for kind, arg in moves:
         if kind == "reverse":
             cur = cur.reversed()
+            runs = rotated_runs(runs, -1)
+            check_runs(p, runs, cur)
             continue
         pivots = [
             i
@@ -123,9 +142,12 @@ def rotation_chain(g, p, protected, moves):
             pivots = [i for i in pivots if edge_key(cur.last, cur[i]) in broken] or pivots
         if not pivots:
             continue
-        cur, step = rotate(g, cur, pivots[arg % len(pivots)])
+        i = pivots[arg % len(pivots)]
+        cur, step = rotate(g, cur, i)
+        runs = rotated_runs(runs, i)
+        check_runs(p, runs, cur)
         steps.append(step)
-    return cur, steps
+    return cur, runs, steps
 
 
 MOVES = st.lists(
@@ -141,16 +163,10 @@ def test_chain_records_equal_the_whole_path_records(case, chains, data):
     dec = decompose(p, rho, protected_edge=protected)
     records = []
     for k, moves in enumerate(chains):
-        cur, steps = rotation_chain(g, p, protected, moves)
+        cur, runs, steps = rotation_chain(g, p, protected, moves)
         pair = (cur.first, cur.last) if k % 2 else (k, cur.last)
         expected = reference_unbroken_segments(dec, cur, pair=pair, rotations=len(steps))
-        by_chain = unbroken_segments(
-            dec, cur, pair=pair, rotations=len(steps),
-            candidates=[s.broken_edge for s in steps],
-        )
-        by_scan = unbroken_segments(dec, cur, pair=pair, rotations=len(steps))
-        assert by_chain == expected
-        assert by_scan == expected
+        assert unbroken_segments(dec, runs, pair=pair, rotations=len(steps)) == expected
         assert len(expected.broken_p0) <= len(steps)
         records.append(expected)
 
@@ -177,12 +193,16 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
         g, p, a_cap=4, total_target=total_target, protected_edge=protected
     )
     dec = decompose(p, rho, protected_edge=protected)
-    for pair, ppath in targets.pair_path.items():
+    for pair in targets.pairs():
+        ppath = targets.pair_path(pair)
+        assert (ppath.first, ppath.last) == pair
         r = targets.pair_rotations[pair]
-        chain = list(targets.chain_broken_edges(pair))
-        assert len(chain) == r
-        rec = unbroken_segments(dec, ppath, pair=pair, rotations=r, candidates=chain)
+        rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair, rotations=r)
         assert rec == reference_unbroken_segments(dec, ppath, pair=pair, rotations=r)
+        assert len(rec.broken_p0) <= r
+    fam = endpoint_family(g, p, total_target=total_target, protected_edge=protected)
+    for v in fam.chains:
+        assert reconstruct_path(fam, v) == replay_chain(g, p, fam.chain_steps(v))
 
 
 def test_segment_index_of_matches_the_segments():

@@ -158,7 +158,7 @@ def test_family_layers_within_oracle_and_replay():
         assert fam.broken_edges <= base_edges  # only base-path edges break
         for v in fam.endpoints():
             redo = replay_chain(g, p, fam.chain_steps(v))
-            assert redo.vertices == fam.paths[v].vertices
+            assert redo.vertices == reconstruct_path(fam, v).vertices
             assert redo.last == v and len(redo) == len(p)
             assert validate_path(g, redo.vertices)
 
@@ -198,7 +198,8 @@ def test_double_rotation_targets_k5():
     assert set(out.a0) == {1, 2, 3, 4}
     for a in out.a0:
         assert set(out.bmap[a]) == set(range(5)) - {a}
-    for (a, b), p in out.pair_path.items():
+    for a, b in out.pairs():
+        p = out.pair_path((a, b))
         assert p.first == a and p.last == b
         assert validate_path(g, p.vertices)
 
@@ -209,7 +210,8 @@ def test_double_rotation_targets_c5():
     assert set(out.a0) == {4, 1}
     oracle_b4 = endpoint_closure_oracle(g, Path((0, 1, 2, 3, 4)).reversed()).endpoints
     assert set(out.bmap[4]) <= oracle_b4
-    for (a, b), p in out.pair_path.items():
+    for a, b in out.pairs():
+        p = out.pair_path((a, b))
         assert {p.first, p.last} == {a, b}
         assert is_maximal(g, p)
         assert validate_path(g, p.vertices)
