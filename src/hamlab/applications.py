@@ -654,14 +654,6 @@ class ExperimentStats:
             "ci95": [max(0.0, rate - halfwidth), min(1.0, rate + halfwidth)],
         }
 
-    def to_csv_rows(self):
-        yield "trial,seed,n,p,success,rotations,ms"
-        for t in self.trials:
-            yield (
-                f"{t.trial},{t.seed},{t.n},{t.p},{int(t.success)},"
-                f"{t.rotations},{t.ms:.3f}"
-            )
-
 
 def gnp_trials(n, p, trials, seed=0, budget=60000, mode="heuristic", label="sweep"):
     """Run seeded Hamiltonicity trials on fresh G(n, p) samples."""

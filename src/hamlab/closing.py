@@ -14,6 +14,7 @@ the search restarts from the longer path.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -54,6 +55,7 @@ class SegmentDecomposition:
     rho: int
     segments: tuple  # 2*rho contiguous runs, in base order
     seg_of: tuple  # base position -> index of the segment holding it
+    starts: tuple  # base position where each segment starts, then len(base)
 
     @property
     def count(self):
@@ -101,7 +103,8 @@ def decompose(path, rho, protected_edge=None):
     bounds = [(a, b) for a, b in bounds if b > a]
     segments = tuple(path.vertices[a:b] for a, b in bounds)
     seg_of = tuple(i for i, (a, b) in enumerate(bounds) for _ in range(a, b))
-    return SegmentDecomposition(path, rho, segments, seg_of)
+    starts = tuple(a for a, _ in bounds) + (q,)
+    return SegmentDecomposition(path, rho, segments, seg_of, starts)
 
 
 @dataclass(frozen=True)
@@ -118,32 +121,33 @@ def unbroken_segments(dec, runs, pair=None, rotations=0):
 
     A segment survives exactly when it lies inside one run; it is reversed
     when that run is walked downwards (a one-vertex segment never is), and
-    it starts at the run's path offset plus its distance into the run.  The
-    broken base edges are the ones that leave a run at its upper end.  A
-    record costs O(runs + rho), not O(n).
+    it starts at the run's path offset plus the distance from the run's
+    start to the segment's first base position on the way, both read from
+    `dec.starts`.  The broken base edges are the ones that leave a run at
+    its upper end.  A record costs O(runs + rho), not O(n).
     """
     seq = dec.base.vertices
-    base_pos = dec.base.pos
-    seg_of = dec.seg_of
+    seg_of, starts = dec.seg_of, dec.starts
     last = len(seq) - 1
-    broken = set()
+    broken = []
     found = []
     offset = 0
     for a, b in runs:
         lo, hi = (a, b) if a <= b else (b, a)
         first, final = seg_of[lo], seg_of[hi]
-        if lo > 0 and seg_of[lo - 1] == first:
+        if starts[first] < lo:
             first += 1  # the run starts inside this segment
+        if starts[final + 1] > hi + 1:
+            final -= 1  # the run ends inside this segment
         if hi < last:
-            broken.add(edge_key(seq[hi], seq[hi + 1]))
-            if seg_of[hi + 1] == final:
-                final -= 1  # the run ends inside this segment
-        ids = range(first, final + 1)
-        for idx in ids if a <= b else reversed(ids):
-            seg = dec.segments[idx]
-            s0 = base_pos[seg[0]]
-            s1 = s0 + len(seg) - 1
-            found.append((idx, a > b and s1 > s0, offset + min(abs(s0 - a), abs(s1 - a))))
+            broken.append(edge_key(seq[hi], seq[hi + 1]))
+        if a <= b:
+            for i in range(first, final + 1):
+                found.append((i, False, offset - a + starts[i]))
+        else:
+            end = offset + a + 1  # base position x is at path position end - 1 - x
+            for i in range(final, first - 1, -1):
+                found.append((i, starts[i + 1] - starts[i] > 1, end - starts[i + 1]))
         offset += hi - lo + 1
     return RotatedPathRecord(pair, rotations, frozenset(broken), tuple(found))
 
@@ -168,28 +172,34 @@ def tau_sequences_of(record, tau):
 
 
 def select_sigma0(records, tau, must_include=None):
-    """Pick the tau-sequence contained in the most records.
+    """Pick the tau-sequence contained in the records of the most distinct
+    (a, b) pairs.
 
-    Returns (sigma0, pair set).  Counts distinct (a, b) pairs; ties go to the
-    larger entries.  With `must_include`, only sequences using that segment
-    index are considered.  Records with the same oriented layout contain the
-    same sequences, so each distinct layout is enumerated once.
+    Returns (sigma0, pair set).  A pair counts once however many of its
+    records contain the sequence, and ties go to the larger entries.  With
+    `must_include`, only sequences using that segment index are considered.
+    An entry (seg, rev) is counted as the integer 2*seg + rev, whose order
+    is the order of the tuples, and only the winner's pair set is built.
     """
-    layouts = {}
+    layouts = {}  # pair -> coded layouts of its records
     for rec in records:
         if len(rec.unbroken) < tau:
             raise ValueError("record has fewer unbroken segments than tau")
-        layout = tuple((seg, rev) for seg, rev, _ in rec.unbroken)
-        layouts.setdefault(layout, set()).add(rec.pair)
-    counts = {}
-    for layout, pairs in layouts.items():
-        for entries in itertools.combinations(layout, tau):
-            if must_include is None or any(seg == must_include for seg, _ in entries):
-                counts.setdefault(entries, set()).update(pairs)
+        layouts.setdefault(rec.pair, []).append(tuple(2 * s + r for s, r, _ in rec.unbroken))
+    combos = itertools.combinations
+    counts = collections.Counter()
+    for coded in layouts.values():
+        seqs = combos(coded[0], tau)
+        if len(coded) > 1:
+            seqs = set(seqs).union(*(combos(c, tau) for c in coded[1:]))
+        if must_include is not None:
+            seqs = [e for e in seqs if must_include in (c >> 1 for c in e)]
+        counts.update(seqs)
     if not counts:
         return None, set()
-    best = max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    return TauSequence(best[0]), best[1]
+    best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    won = {p for p, coded in layouts.items() if any(best in combos(c, tau) for c in coded)}
+    return TauSequence(tuple((c >> 1, bool(c & 1)) for c in best)), won
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +480,7 @@ def _pipeline_once(g, path, protected_edge, stats):
     y = seg_y[-1] if half2.entries[0][1] else seg_y[0]
 
     # rank cutoff replacing the alpha*n/2 membership threshold
-    first_counts = {}
-    for a, b in pairs:
-        first_counts[a] = first_counts.get(a, 0) + 1
+    first_counts = collections.Counter(a for a, _ in pairs)
     ranked = sorted(first_counts, key=lambda a: (-first_counts[a], a))
     keep = max(1, math.ceil(len(ranked) * A_FRACTION))
     a_hat_pool = ranked[:keep]

@@ -32,7 +32,7 @@ class Graph:
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_adj_sorted")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -53,15 +53,9 @@ class Graph:
             adj[v].add(u)
         self.edges = frozenset(canon)
         self._adj = tuple(frozenset(s) for s in adj)
-        self._adj_sorted = None
 
     def neighbors(self, v):
         return self._adj[v]
-
-    def sorted_neighbors(self, v):
-        if self._adj_sorted is None:
-            self._adj_sorted = tuple(tuple(sorted(s)) for s in self._adj)
-        return self._adj_sorted[v]
 
     def degree(self, v):
         return len(self._adj[v])

@@ -101,11 +101,10 @@ def run_position(runs, p):
     raise ValueError(f"base position {p} is not on the path")
 
 
-def chain_runs(base, step, runs=None):
-    """The runs after the rotation chain ending at `step` (None for no
-    rotation), applied to `runs` (default: the base path itself)."""
-    if runs is None:
-        runs = ((0, len(base) - 1),)
+def chain_runs(base, step):
+    """The runs of the base path after the rotation chain ending at `step`
+    (None for no rotation)."""
+    runs = ((0, len(base) - 1),)
     if step is not None:
         for s in step.chain():
             runs = rotated_runs(runs, run_position(runs, base.pos[s.pivot]))
@@ -279,6 +278,7 @@ class EndpointFamily:
     fixed: int
     layers: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)  # endpoint -> RotationStep | None
+    runs: dict = field(default_factory=dict)  # endpoint -> runs, held as layered_family says
     broken_edges: set = field(default_factory=set)
     schedule: list = field(default_factory=list)
     stopped: str = ""
@@ -348,6 +348,7 @@ def layered_family(
     protected_edge=None,
     exclude=None,
     stats=None,
+    over=None,
 ):
     """Grow the layered endpoint family of `base` (fixed first vertex).
 
@@ -360,21 +361,24 @@ def layered_family(
     family).  Each layer is sorted by endpoint and trimmed to the keep size.
     The construction stops when the family holds `total_target` endpoints
     (default ceil(n/3)), a layer comes up empty, or `max_layers` is hit.
-    Only the runs of the previous layer's paths are kept, and they are
-    rotated directly: a candidate pivot is a neighbor of its source, the last
-    vertex of the source's path, so every rotation is valid.
+    The runs of each placed endpoint's path go to `fam.runs`, and a source's
+    runs are rotated directly: a candidate pivot is a neighbor of its
+    source, the last vertex of the source's path, so every rotation is
+    valid.  The runs are held over `base`, or with `over` = (path, runs)
+    over that path, starting from `runs`, the runs of `base` over it.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
-    seq = base.vertices
-    q = len(seq)
+    q = len(base)
+    over_path, start = over if over is not None else (base, ((0, q - 1),))
+    seq, pos = over_path.vertices, over_path.pos
     fixed = base.first
     fam = EndpointFamily(base=base, fixed=fixed)
     terminal = base.last
     fam.layers.append([terminal])
     fam.schedule.append(1)
     fam.chains[terminal] = None
-    runs_of = {terminal: ((0, q - 1),)}  # the previous layer's paths
+    fam.runs[terminal] = start
     used = {terminal}
     if exclude:
         used |= set(exclude)
@@ -389,9 +393,9 @@ def layered_family(
         t += 1
         sources, target, keep = schedule(t, fam.layers[-1])
         placed = {}  # endpoint -> (runs, step)
-        for i, pivot, src in _pivot_candidates(g, base, sources, used):
-            runs = runs_of[src]
-            idx = run_position(runs, i)
+        for _, pivot, src in _pivot_candidates(g, base, sources, used):
+            runs = fam.runs[src]
+            idx = run_position(runs, pos[pivot])
             if idx > q - 3:
                 continue
             new_runs = rotated_runs(runs, idx)
@@ -412,9 +416,8 @@ def layered_family(
             fam.stopped = "empty_layer"
             break
         layer = sorted(placed)[:keep]
-        runs_of = {}
         for ep in layer:
-            runs_of[ep], step = placed[ep]
+            fam.runs[ep], step = placed[ep]
             fam.chains[ep] = step
             fam.broken_edges.add(step.broken_edge)
             used.add(ep)
@@ -434,6 +437,7 @@ def endpoint_family(
     protected_edge=None,
     exclude=None,
     stats=None,
+    over=None,
 ):
     """Build the layered endpoint family of a maximal path (fixed first vertex).
 
@@ -442,7 +446,7 @@ def endpoint_family(
     construction stops when the cumulative endpoint count reaches
     `total_target` (default ceil(n/3)), a layer comes up empty, or
     `max_layers` is hit.  Trimming keeps lowest vertex ids; pivots are
-    processed in ascending base-path position.
+    processed in ascending base-path position; `over` as in `layered_family`.
     """
 
     def schedule(t, previous):
@@ -461,6 +465,7 @@ def endpoint_family(
         protected_edge=protected_edge,
         exclude=exclude,
         stats=stats,
+        over=over,
     )
 
 
@@ -599,11 +604,11 @@ def double_rotation_targets(
 ):
     """Rotate both path ends in two stages: one family with the first vertex
     fixed, then for each reached endpoint a (up to a_cap) a family of the
-    path to a, reversed so that a is fixed.  Records the runs of each P(a, b)
-    and its rotation count.
+    path to a, reversed so that a is fixed, which holds its runs over `path`.
+    Records the runs of each P(a, b) and its rotation count.
     """
 
-    def family(p):
+    def family(p, over=None):
         return endpoint_family(
             g,
             p,
@@ -612,6 +617,7 @@ def double_rotation_targets(
             surplus=surplus,
             protected_edge=protected_edge,
             stats=stats,
+            over=over,
         )
 
     fam1 = family(path)
@@ -619,13 +625,13 @@ def double_rotation_targets(
     chosen = a0 if a_cap is None else a0[:a_cap]
     out = DoubleRotationTargets(path, a0, {}, {}, {}, families_built=1)
     for a in chosen:
-        runs_a = rotated_runs(chain_runs(path, fam1.chains[a]), -1)  # a first
+        runs_a = rotated_runs(fam1.runs[a], -1)  # a first
         rot_a = fam1.rotations_to(a)
-        fam2 = family(runs_path(path, runs_a))
+        fam2 = family(runs_path(path, runs_a), over=(path, runs_a))
         out.families_built += 1
         bset = sorted(fam2.endpoints())
         out.bmap[a] = bset
         for b in bset:
-            out.pair_runs[(a, b)] = chain_runs(path, fam2.chains[b], runs=runs_a)
+            out.pair_runs[(a, b)] = fam2.runs[b]
             out.pair_rotations[(a, b)] = rot_a + fam2.rotations_to(b)
     return out

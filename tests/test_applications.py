@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamlab import (
     FConnSpec,
@@ -69,6 +71,27 @@ def test_oracle_agrees_with_permutation_search():
         assert got == permutation_hamiltonian(g)
         if got:
             assert validate_cycle(g, cyc.vertices, hamilton=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 12),
+    st.sampled_from([0.15, 0.3, 0.45, 0.6, 0.8]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+)
+def test_heuristic_and_proof_faithful_searches_agree_with_the_oracle(n, p, graph_seed, seed):
+    """Each mode returns only Hamilton cycles, so never one on a graph the
+    subset-DP oracle rejects."""
+    g = gnp(n, p, seed=f"search-oracle:{graph_seed}")
+    truth, _ = hamiltonian_oracle(g)
+    for mode in ("heuristic", "proof_faithful"):
+        res = find_hamilton_cycle(g, mode=mode, budget=500, seed=seed, max_restarts=3)
+        if res.found:
+            assert truth, f"{mode} claimed a cycle on a non-Hamiltonian graph"
+            assert validate_cycle(g, res.cycle.vertices, hamilton=True)
+        else:
+            assert res.stage
 
 
 def test_hamilton_path_oracle():

@@ -3,8 +3,9 @@ random rotation chains the runs track `rotate` and `Path.reversed`, map base
 positions to path positions and stay maximal, and the record read from the
 runs equals the record the whole-path computation gives; every pair of a
 real double rotation gives that record too, and a family's rebuilt paths
-equal its replayed chains; the sigma0 choice made once per distinct layout
-equals the one made by enumerating every record's tau-sequences."""
+equal its replayed chains; the runs the families hand over equal their
+chains folded; the sigma0 choice counted on coded entries equals the one
+made by enumerating every record's tau-sequences."""
 
 import itertools
 import random
@@ -29,7 +30,7 @@ from hamlab import (
     unbroken_segments,
 )
 from hamlab.closing import TauSequence
-from hamlab.rotation import rotated_runs, run_position, runs_path
+from hamlab.rotation import chain_runs, rotated_runs, run_position, runs_path
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -107,13 +108,17 @@ def base_paths(draw):
     return g, p, rho, protected
 
 
+def check_maximal(runs):
+    for (_, b), (c, _) in zip(runs, runs[1:]):
+        assert abs(c - b) > 1  # no run continues the one before it
+
+
 def check_runs(p, runs, cur):
     """`runs` over the base path `p` hold exactly the path `cur`."""
     assert runs_path(p, runs) == cur
     for i, v in enumerate(p.vertices):
         assert run_position(runs, i) == cur.pos[v]
-    for (_, b), (c, _) in zip(runs, runs[1:]):
-        assert abs(c - b) > 1  # maximal: no run continues the one before it
+    check_maximal(runs)
 
 
 def rotation_chain(g, p, protected, moves):
@@ -203,6 +208,98 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
     fam = endpoint_family(g, p, total_target=total_target, protected_edge=protected)
     for v in fam.chains:
         assert reconstruct_path(fam, v) == replay_chain(g, p, fam.chain_steps(v))
+
+
+def refold(base, runs, step):
+    """The chain ending at `step` applied to `runs` over `base`, one rotation
+    at a time: the fold the families' hand-off replaced."""
+    for s in step.chain() if step is not None else ():
+        runs = rotated_runs(runs, run_position(runs, base.pos[s.pivot]))
+    return runs
+
+
+@PROPERTY
+@given(base_paths(), st.integers(1, 16))
+def test_families_hand_over_the_runs_of_their_chains(case, total_target):
+    g, p, _, drawn = case
+    for protected in (None, drawn) if drawn else (None,):
+        kw = dict(total_target=total_target, protected_edge=protected)
+        fam = endpoint_family(g, p, **kw)
+        assert fam.runs.keys() == fam.chains.keys()
+        for v, step in fam.chains.items():
+            assert fam.runs[v] == chain_runs(p, step)
+            check_maximal(fam.runs[v])
+        targets = double_rotation_targets(g, p, a_cap=4, **kw)
+        assert targets.a0 == sorted(fam.chains)
+        assert sorted(targets.bmap) == targets.a0[:4]
+        for a in targets.bmap:
+            runs_a = rotated_runs(chain_runs(p, fam.chains[a]), -1)
+            p_a = runs_path(p, runs_a)
+            fam2 = endpoint_family(g, p_a, **kw)
+            assert targets.bmap[a] == sorted(fam2.chains)
+            for b, step in fam2.chains.items():
+                runs = targets.pair_runs[(a, b)]
+                assert runs == refold(p, runs_a, step)
+                check_maximal(runs)
+                ppath = targets.pair_path((a, b))
+                assert (ppath.first, ppath.last) == (a, b)
+                assert ppath == replay_chain(g, p_a, fam2.chain_steps(b))
+
+
+def record(pair, layout):
+    """A record whose unbroken segments are `layout`, (seg, rev) entries."""
+    unbroken = tuple((seg, rev, k) for k, (seg, rev) in enumerate(layout))
+    return RotatedPathRecord(pair, 1, frozenset(), unbroken)
+
+
+F, R = False, True
+
+
+@pytest.mark.parametrize(
+    "records, tau, must, want",
+    [
+        # a pair with several records counts once: three records of (0, 1)
+        # hold ((0, F), (1, F)), but two pairs hold ((2, F), (3, F))
+        (
+            [record((0, 1), [(0, F), (1, F)]), record((0, 1), [(0, F), (1, F), (4, F)]),
+             record((0, 1), [(0, F), (1, F), (5, R)]), record((1, 2), [(2, F), (3, F)]),
+             record((1, 3), [(2, F), (3, F)])],
+            2, None, (((2, F), (3, F)), {(1, 2), (1, 3)}),
+        ),
+        # ties go to the larger entries, on the segment and then on the flag
+        ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(0, F), (1, F)])],
+         2, None, (((2, F), (3, F)), {(0, 1)})),
+        ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(2, F), (3, R)])],
+         2, None, (((2, F), (3, R)), {(0, 2)})),
+        # must_include drops the unfiltered winner, or every sequence
+        (
+            [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(0, F), (1, F)]),
+             record((0, 3), [(1, F), (2, R)])],
+            2, 2, (((1, F), (2, R)), {(0, 3)}),
+        ),
+        ([record((0, 1), [(0, F), (1, F)])], 2, 3, (None, set())),
+        # a reversed and a forward entry of one segment are different entries
+        (
+            [record((0, 1), [(0, F), (1, R)]), record((0, 2), [(0, F), (1, F)]),
+             record((0, 3), [(0, F), (1, R)])],
+            2, None, (((0, F), (1, R)), {(0, 1), (0, 3)}),
+        ),
+        ([record((0, 1), [(1, F)]), record((0, 2), [(1, R)])],
+         1, None, (((1, R),), {(0, 2)})),
+        ([record((0, 1), [(1, F), (4, R)]), record((0, 2), [(1, R), (4, R)])],
+         1, 1, (((1, R),), {(0, 2)})),
+    ],
+)
+def test_select_sigma0_edge_cases(records, tau, must, want):
+    sigma0, pairs = select_sigma0(records, tau, must_include=must)
+    assert (sigma0, pairs) == reference_select_sigma0(records, tau, must_include=must)
+    entries, want_pairs = want
+    assert pairs == want_pairs
+    if entries is None:
+        assert sigma0 is None
+    else:
+        assert sigma0.entries == entries
+        assert all(type(rev) is bool for _, rev in sigma0.entries)
 
 
 def test_segment_index_of_matches_the_segments():
