@@ -89,14 +89,12 @@ from .applications import (
     ExperimentStats,
     cycle_of_length_k,
     fconnected_pipeline,
-    gnp_hamilton_schedule,
     gnp_trials,
     hamilton_connected_oracle,
     hamilton_cycle_through_edge,
     hamilton_path_between,
     hamilton_path_oracle,
     hamiltonian_oracle,
-    small_aware_family,
     strip_nonexpanding,
 )
 

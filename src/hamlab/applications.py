@@ -1,7 +1,7 @@
 """Application procedures: Hamilton paths between prescribed endpoints, cycles
-of exact length via stripping and subsampling, the small-vertex-aware sparse
-random graph schedule, the f-connectivity pipeline, and the exact subset-DP
-Hamiltonicity oracle used as ground truth at desk scale.
+of exact length via stripping and subsampling, the f-connectivity pipeline,
+and the exact subset-DP Hamiltonicity oracle used as ground truth at desk
+scale.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .closing import (
     SearchResult,
-    absorb,
     close_heuristic,
     close_proof_faithful,
     find_hamilton_cycle,
@@ -25,7 +24,6 @@ from .conditions import (
     FConnSpec,
     WorkBudgetExceeded,
     fconn_implies_conditions,
-    small_vertices,
     work_budget,
 )
 from .graph import (
@@ -37,14 +35,6 @@ from .graph import (
     neighborhood,
     validate_cycle,
     validate_path,
-)
-from .rotation import (
-    chain_runs,
-    extend,
-    layered_family,
-    reconstruct_path,
-    rotate,
-    runs_path,
 )
 
 ORACLE_CAP = 20
@@ -434,151 +424,6 @@ def cycle_of_length_k(
                 raise SoundnessError(f"lifted cycle has length {len(cycle)}, not {k}")
             return KCycleResult(cycle, attempt + 1, strip, stats)
     return KCycleResult(None, retries, strip, stats)
-
-
-# ---------------------------------------------------------------------------
-# Small-vertex-aware schedule for sparse random graphs
-
-
-class _Restart(Exception):
-    """A small endpoint was met; the family restarts from the path in args[0]."""
-
-
-def small_aware_family(
-    g,
-    path,
-    small,
-    d=9.0,
-    total_target=None,
-    max_layers=None,
-    max_restarts=1,
-    stats=None,
-):
-    """Endpoint family builder that keeps small vertices out of the layers.
-
-    When a small vertex u would be placed, the path to u is rotated once (u
-    has another neighbor on it by the min-degree property) and the family
-    restarts from the resulting path, whose endpoint sits at distance two from
-    u.  Restarts are bounded; afterwards small vertices are silently dropped.
-    When a layer's neighborhood expands by less than d, a stall layer of equal
-    size is allowed (sourced from the small members when any exist, so the
-    following layer is small-free).  Each layer keeps up to twice its target.
-    """
-    special_rotations = []  # one per restart
-
-    def admit(ep, step):
-        if ep not in small:
-            return True
-        if len(special_rotations) < max_restarts:
-            restart_path = _special_rotation(g, runs_path(base, chain_runs(base, step)))
-            if restart_path is not None:
-                special_rotations.append(ep)
-                raise _Restart(restart_path)
-        return False  # drop small endpoints
-
-    def schedule(t, previous):
-        nonlocal stalled
-        if not stalled and len(neighborhood(g, previous)) < d * len(previous):
-            # stall: one equal-size layer, sourced from the small members
-            # when any exist so the produced layer is small-free
-            stalled = True
-            small_previous = [v for v in previous if v in small]
-            return small_previous or previous, len(previous), 2 * len(previous)
-        stalled = False
-        target = math.ceil(len(previous) * d / 3.0)
-        return previous, target, 2 * target
-
-    base = path
-    while True:
-        stalled = False
-        try:
-            fam = layered_family(
-                g,
-                base,
-                schedule,
-                admit=admit,
-                total_target=total_target,
-                max_layers=max_layers,
-                stats=stats,
-            )
-        except _Restart as restart:
-            base = restart.args[0]
-            continue
-        if any(v in small for layer in fam.layers[1:] for v in layer):
-            raise SoundnessError("a small vertex was placed as an endpoint")
-        fam.special_rotations = special_rotations
-        return fam
-
-
-def _special_rotation(g, path_to_small):
-    """Rotate the path ending at a small vertex once, yielding an endpoint at
-    distance two from it; None when no non-predecessor neighbor exists."""
-    u = path_to_small.last
-    q = len(path_to_small)
-    for w in sorted(g.neighbors(u)):
-        i = path_to_small.pos.get(w)
-        if i is not None and i <= q - 3:
-            rotated, _ = rotate(g, path_to_small, i)
-            return rotated
-    return None
-
-
-def gnp_hamilton_schedule(
-    g,
-    threshold=None,
-    d=9.0,
-    budget=100000,
-    seed=0,
-    max_restarts=25,
-):
-    """Hamilton-cycle search whose endpoint families follow the small-aware
-    schedule: small vertices trigger one special rotation + restart, stall
-    layers bridge expansion shortfalls, and closing uses the family endpoints
-    adjacent to the fixed vertex (heuristic fallback on the longest path)."""
-    stats = new_stats()
-    if g.n < 3:
-        return SearchResult(None, "too_small", stats)
-    if not is_connected(g):
-        return SearchResult(None, "connectivity", stats)
-    small = small_vertices(g, threshold)
-    for r in range(max_restarts):
-        if r > 0 and stats["rotations"] >= budget:
-            break
-        stats["restarts"] = r
-        rng = random.Random(f"gnp-schedule:{seed}:{r}")
-        start = rng.randrange(g.n)
-        path = extend(g, Path((start,)), rng)
-        fam = small_aware_family(g, path, small, d=d, stats=stats)
-        stats["families_built"] += 1
-        closed = _close_from_family(g, fam, stats)
-        if closed is not None:
-            seq = closed
-            verdict = validate_cycle(g, seq, hamilton=len(seq) == g.n)
-            if verdict and len(seq) == g.n:
-                return SearchResult(Cycle(seq), None, stats)
-            # non-spanning cycle: absorb and fall through to the heuristic
-            reopened = absorb(g, seq)
-            if reopened is not None:
-                path = reopened
-        outcome = close_heuristic(
-            g, path, budget=max(budget - stats["rotations"], 0), rng=rng, stats=stats
-        )
-        if isinstance(outcome, Cycle):
-            verdict = validate_cycle(g, outcome.vertices, hamilton=True)
-            if verdict:
-                return SearchResult(outcome, None, stats)
-    return SearchResult(None, "budget", stats)
-
-
-def _close_from_family(g, fam, stats):
-    """Close via a family endpoint adjacent to the fixed vertex, if any."""
-    fixed = fam.fixed
-    for v in sorted(fam.endpoints()):
-        if g.has_edge(v, fixed):
-            seq = reconstruct_path(fam, v).vertices
-            if len(seq) >= 3:
-                return seq
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ documented stream derivation: a trial's generator is seeded with the string
 can be distributed without coordination.
 
 Exit codes: 0 success/holds, 1 negative result, 2 resource limit or
-indeterminate, 64 usage error.
+indeterminate, 64 usage error, 70 internal error (a soundness check failed).
 """
 
 from __future__ import annotations

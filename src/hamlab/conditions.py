@@ -156,14 +156,6 @@ class ConditionThresholds:
     d: float
     s_small: float
     s_big: float
-    constants: dict = field(
-        default_factory=lambda: {
-            "joined": 4130,
-            "joined_variant": 1035,
-            "good_ratio_denom": 43,
-            "min_d": 12,
-        }
-    )
 
 
 def condition_thresholds(n, d, variant="P1P2"):
@@ -552,7 +544,7 @@ def check_gnp_properties(
     budget=None,
     seed=0,
 ):
-    """Report the four sparse-random-graph properties used by the schedule:
+    """Report the four sparse-random-graph properties of the G(n, p) argument:
 
     (1) min degree >= 2; (2) small vertices pairwise far apart; (3) sets
     avoiding small vertices expand by 3d; (4) few vertices of degree <= 11.

@@ -32,10 +32,6 @@ class SpannedGraph:
         if not verdict:
             raise ValueError(f"spine is not a path: {verdict.reason}")
 
-    @property
-    def length(self):
-        return len(self.spine)
-
 
 @dataclass(frozen=True)
 class AugmentedPathGraph:

@@ -1,8 +1,8 @@
 """Rotation-extension core: single rotations, the mutable path buffer
 `PathBuf` and the greedy extension loop on it, two-sided endpoint pairs, and
 the rotation engine: `closure`, the one breadth-first search over rotated
-vertex tuples, and `layered_family`, the one layered endpoint-family loop,
-whose schedule and admission policies come from callers.
+vertex tuples, and `endpoint_family`, the one layered endpoint-family
+builder.
 
 Conventions: a path's fixed endpoint is its first vertex; the mobile endpoint
 is its last.  Pivot positions are 0-based indices into the path; a rotation at
@@ -61,10 +61,9 @@ def rotate(g, path, pivot_index):
     pivot = seq[pivot_index]
     if not g.has_edge(last, pivot):
         raise ValueError(f"({last}, {pivot}) is not an edge")
-    # the slice of `rotated`, inlined: the heuristic search rotates in a hot loop
-    new_seq = seq[: pivot_index + 1] + seq[: pivot_index : -1]
     broken = edge_key(pivot, seq[pivot_index + 1])
-    return Path(new_seq), RotationStep(pivot, broken, seq[pivot_index + 1])
+    step = RotationStep(pivot, broken, seq[pivot_index + 1])
+    return Path(rotated(seq, pivot_index)), step
 
 
 def rotated_runs(runs, i):
@@ -278,7 +277,7 @@ class EndpointFamily:
     fixed: int
     layers: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)  # endpoint -> RotationStep | None
-    runs: dict = field(default_factory=dict)  # endpoint -> runs, held as layered_family says
+    runs: dict = field(default_factory=dict)  # endpoint -> runs, held as endpoint_family says
     broken_edges: set = field(default_factory=set)
     schedule: list = field(default_factory=list)
     stopped: str = ""
@@ -338,43 +337,43 @@ def _pivot_candidates(g, base, sources, used):
     return pairs
 
 
-def layered_family(
+def endpoint_family(
     g,
-    base,
-    schedule,
-    admit=None,
+    path,
+    d=9.0,
     total_target=None,
+    layer_cap=None,
     max_layers=None,
+    surplus=2.0,
     protected_edge=None,
     exclude=None,
     stats=None,
     over=None,
 ):
-    """Grow the layered endpoint family of `base` (fixed first vertex).
+    """Build the layered endpoint family of a maximal path (fixed first vertex).
 
-    Layer t is grown from the sources, members of the previous layer, that
-    `schedule(t, previous layer)` returns together with the layer's target
-    and keep size (None keeps every placed endpoint).  Pivots are processed
-    in ascending base-path position; an endpoint already used, already
-    placed, excluded or fixed is skipped, and `admit(endpoint, step)`, when
-    given, decides whether a new one is placed (it may raise to abandon the
-    family).  Each layer is sorted by endpoint and trimmed to the keep size.
-    The construction stops when the family holds `total_target` endpoints
-    (default ceil(n/3)), a layer comes up empty, or `max_layers` is hit.
-    The runs of each placed endpoint's path go to `fam.runs`, and a source's
-    runs are rotated directly: a candidate pivot is a neighbor of its
-    source, the last vertex of the source's path, so every rotation is
-    valid.  The runs are held over `base`, or with `over` = (path, runs)
-    over that path, starting from `runs`, the runs of `base` over it.
+    Layer t is grown from every member of the previous layer and targets
+    ceil((d/3)^t) endpoints (optionally capped by `layer_cap`); up to
+    `surplus` times the target is retained (None keeps everything).  Pivots
+    are processed in ascending base-path position; an endpoint already used,
+    already placed, excluded or fixed is skipped.  Each layer is sorted by
+    endpoint and trimmed to its keep size, so trimming keeps the lowest
+    vertex ids.  The construction stops when the family holds `total_target`
+    endpoints (default ceil(n/3)), a layer comes up empty, or `max_layers` is
+    hit.  The runs of each placed endpoint's path go to `fam.runs`, and a
+    source's runs are rotated directly: a candidate pivot is a neighbor of its
+    source, the last vertex of the source's path, so every rotation is valid.
+    The runs are held over `path`, or with `over` = (other, runs) over that
+    other path, starting from `runs`, the runs of `path` over it.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
-    q = len(base)
-    over_path, start = over if over is not None else (base, ((0, q - 1),))
+    q = len(path)
+    over_path, start = over if over is not None else (path, ((0, q - 1),))
     seq, pos = over_path.vertices, over_path.pos
-    fixed = base.first
-    fam = EndpointFamily(base=base, fixed=fixed)
-    terminal = base.last
+    fixed = path.first
+    fam = EndpointFamily(base=path, fixed=fixed)
+    terminal = path.last
     fam.layers.append([terminal])
     fam.schedule.append(1)
     fam.chains[terminal] = None
@@ -391,9 +390,12 @@ def layered_family(
             fam.stopped = "max_layers"
             break
         t += 1
-        sources, target, keep = schedule(t, fam.layers[-1])
+        target = math.ceil((d / 3.0) ** t)
+        if layer_cap is not None:
+            target = min(target, layer_cap)
+        keep = None if surplus is None else math.ceil(target * surplus)
         placed = {}  # endpoint -> (runs, step)
-        for _, pivot, src in _pivot_candidates(g, base, sources, used):
+        for _, pivot, src in _pivot_candidates(g, path, fam.layers[-1], used):
             runs = fam.runs[src]
             idx = run_position(runs, pos[pivot])
             if idx > q - 3:
@@ -406,8 +408,6 @@ def layered_family(
             if ep in used or ep in placed or ep == fixed:
                 continue
             step = RotationStep(pivot, broken, ep, fam.chains[src])
-            if admit is not None and not admit(ep, step):
-                continue
             placed[ep] = (new_runs, step)
             if stats is not None:
                 stats["rotations"] = stats.get("rotations", 0) + 1
@@ -424,49 +424,6 @@ def layered_family(
         fam.layers.append(layer)
         fam.schedule.append(target)
     return fam
-
-
-def endpoint_family(
-    g,
-    path,
-    d=9.0,
-    total_target=None,
-    layer_cap=None,
-    max_layers=None,
-    surplus=2.0,
-    protected_edge=None,
-    exclude=None,
-    stats=None,
-    over=None,
-):
-    """Build the layered endpoint family of a maximal path (fixed first vertex).
-
-    Layer t targets ceil((d/3)^t) endpoints (optionally capped); up to
-    `surplus` times the target is retained (None keeps everything).  The
-    construction stops when the cumulative endpoint count reaches
-    `total_target` (default ceil(n/3)), a layer comes up empty, or
-    `max_layers` is hit.  Trimming keeps lowest vertex ids; pivots are
-    processed in ascending base-path position; `over` as in `layered_family`.
-    """
-
-    def schedule(t, previous):
-        target = math.ceil((d / 3.0) ** t)
-        if layer_cap is not None:
-            target = min(target, layer_cap)
-        keep = None if surplus is None else math.ceil(target * surplus)
-        return previous, target, keep
-
-    return layered_family(
-        g,
-        path,
-        schedule,
-        total_target=total_target,
-        max_layers=max_layers,
-        protected_edge=protected_edge,
-        exclude=exclude,
-        stats=stats,
-        over=over,
-    )
 
 
 def reconstruct_path(family, v):

@@ -1,7 +1,6 @@
 """Application procedures against brute-force ground truth."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -17,11 +16,9 @@ from hamlab import (
     cycle_graph,
     cycle_of_length_k,
     edge_key,
-    extend,
     fconnected_pipeline,
     find_hamilton_cycle,
     gnp,
-    gnp_hamilton_schedule,
     hamilton_connected_oracle,
     hamilton_cycle_through_edge,
     hamilton_path_between,
@@ -29,9 +26,6 @@ from hamlab import (
     hamiltonian_oracle,
     path_graph,
     petersen,
-    reconstruct_path,
-    small_aware_family,
-    small_vertices,
     strip_nonexpanding,
     validate_cycle,
     validate_path,
@@ -239,63 +233,6 @@ def test_cycle_of_length_k_gnp():
     res = cycle_of_length_k(g, 100, t=10, seed=1, retries=10)
     assert res.found and len(res.cycle) == 100
     assert validate_cycle(g, res.cycle.vertices)
-
-
-def test_small_aware_family_properties():
-    g = gnp(400, 2.2 * math.log(400) / 400, seed=12)
-    if not hamiltonian_oracle(complete(3))[0]:  # pragma: no cover
-        pytest.skip()
-    small = small_vertices(g)
-    start = max(range(g.n), key=g.degree)
-    p = extend(g, Path((start,)))
-    fam = small_aware_family(g, p, small)
-    for layer in fam.layers[1:]:
-        assert not (set(layer) & small)
-    for v in fam.endpoints():
-        assert reconstruct_path(fam, v).first == fam.fixed
-        # no stored chain ever passes through a small endpoint
-        for step in fam.chain_steps(v):
-            assert step.new_endpoint not in small
-
-
-def test_gnp_hamilton_schedule():
-    n = 300
-    p = (math.log(n) + math.log(math.log(n)) + 8) / n
-    wins = 0
-    for seed in range(5):
-        g = gnp(n, p, seed=f"sched:{seed}")
-        from hamlab import is_connected
-
-        if not is_connected(g):
-            continue
-        res = gnp_hamilton_schedule(g, budget=60000, seed=seed)
-        if res.found:
-            assert validate_cycle(g, res.cycle.vertices, hamilton=True)
-            wins += 1
-    assert wins >= 3
-
-
-def test_gnp_hamilton_schedule_sparse_2000():
-    from hamlab import is_connected
-
-    n = 2000
-    p = (math.log(n) + math.log(math.log(n)) + 6) / n
-    wins = tried = 0
-    for seed in range(2):
-        g = gnp(n, p, seed=f"big:{seed}")
-        if not is_connected(g):
-            continue
-        tried += 1
-        res = gnp_hamilton_schedule(g, budget=120000, seed=seed)
-        if res.found:
-            assert validate_cycle(g, res.cycle.vertices, hamilton=True)
-            wins += 1
-    assert tried == 0 or wins == tried
-
-
-def test_gnp_schedule_disconnected_gate():
-    res = gnp_hamilton_schedule(clique_plus_isolated(8, 1), budget=100)
-    assert not res.found and res.stage == "connectivity"
 
 
 def test_fconnected_pipeline():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hamlab import (
     CloseFailure,
@@ -26,6 +28,7 @@ from hamlab import (
     find_hamilton_cycle,
     gnp,
     hamiltonian_oracle,
+    is_connected,
     path_graph,
     petersen,
     replay_chain,
@@ -34,9 +37,10 @@ from hamlab import (
     tau_sequences_of,
     unbroken_segments,
     validate_cycle,
+    validate_path,
 )
 from hamlab import closing
-from hamlab.closing import TauSequence
+from hamlab.closing import TauSequence, lift_model_path, model_endpoint_paths
 from hamlab.rotation import rotated_runs
 
 
@@ -238,6 +242,66 @@ def test_build_contracted_interior_chords_only():
     chords = [e for e in model.spanned.graph.edges if abs(e[0] - e[1]) != 1]
     # interiors are model positions 1 and 4; the only chord is between them
     assert chords == [(1, 4)]
+
+
+def _model_lifts(g):
+    """(lifted path, model, model endpoint) for every witness of every model
+    pivot adjacent to its side's anchor, over the pairs of sigma0.
+
+    The stages up to sigma0 are the pipeline's own.  The anchor of side 1 is
+    a and that of side 2 is b: the helper vertex w of the augmented model
+    stands for the stretch from the model's far end to the anchor, so its
+    edge to the pivot lifts to a real edge only when the anchor is adjacent
+    to the pivot's real vertex.  Without that condition lifts do fail.
+    """
+    path = extend(g, Path((0,)))
+    targets = double_rotation_targets(g, path, a_cap=closing.A_CAP)
+    if not targets.pair_runs:
+        return []
+    rho = min(max(1, max(targets.pair_rotations.values())), len(path) // 2)
+    dec = decompose(path, rho)
+    records = []
+    for pair in targets.pairs():
+        r = targets.pair_rotations[pair]
+        if r > rho:
+            continue
+        rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair, rotations=r)
+        if len(rec.unbroken) >= closing.TAU:
+            records.append(rec)
+    sigma0, pairs = select_sigma0(records, closing.TAU)
+    if sigma0 is None:
+        return []
+    half = closing.TAU // 2
+    models = (
+        build_contracted(dec, TauSequence(sigma0.entries[:half]), g, 1),
+        build_contracted(dec, TauSequence(sigma0.entries[half:]), g, 2),
+    )
+    out = []
+    for a, b in sorted(pairs):
+        phat = targets.pair_path((a, b))
+        for model, anchor in zip(models, (a, b)):
+            if model.frozen:
+                continue
+            for pm in range(1, len(model.labels) - 1):
+                if not g.has_edge(anchor, model.labels[pm]):
+                    continue
+                witness = model_endpoint_paths(model, pm, budget=closing.CLOSURE_BUDGET)
+                for ep, seq in witness.items():
+                    out.append((lift_model_path(seq, model, phat), model, ep))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(12, 40), st.sampled_from([3, 5, 8]), st.integers(0, 2**16))
+def test_model_lifts_are_real_paths(n, c, seed):
+    g = gnp(n, min(1.0, c * math.log(n) / n), seed=f"lift:{seed}")
+    assume(is_connected(g))
+    lifts = _model_lifts(g)
+    assume(lifts)
+    for lifted, model, ep in lifts:
+        assert validate_path(g, lifted)
+        assert lifted[0] == model.labels[0]
+        assert lifted[-1] == model.labels[ep]
 
 
 def test_close_proof_faithful_k12():

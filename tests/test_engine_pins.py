@@ -32,8 +32,6 @@ from hamlab import (
     process_bad_vertices,
     random_regular,
     reconstruct_path,
-    small_aware_family,
-    small_vertices,
 )
 from hamlab import applications, closing
 from hamlab.closing import TauSequence, build_contracted, decompose, model_endpoint_paths
@@ -135,60 +133,6 @@ EXPECTED_ENDPOINT_FAMILY = {'capped': {'broken': '55f272f0848bf100',
 
 def test_endpoint_family_pins():
     assert observe_endpoint_family() == EXPECTED_ENDPOINT_FAMILY
-
-
-# ---------------------------------------------------------------------------
-# small_aware_family
-
-
-def observe_small_aware_family():
-    out = {}
-    for seed, restarts in ((11, 1), (13, 1), (13, 2)):
-        g = gnp(30, 2.0 * math.log(30) / 30, seed=f"pin:small:{seed}")
-        small = small_vertices(g, 3)
-        start = max(range(g.n), key=g.degree)
-        stats = {"rotations": 0}
-        fam = small_aware_family(
-            g, extend(g, Path((start,))), small, max_restarts=restarts, stats=stats
-        )
-        view = _family_view(fam, stats)
-        view["special_rotations"] = list(fam.special_rotations)
-        view["base"] = _digest(list(fam.base.vertices))
-        out[f"{seed}/{restarts}"] = view
-    return out
-
-
-EXPECTED_SMALL_AWARE_FAMILY = {'11/1': {'base': '5a8dcf458c201121',
-          'broken': '3dd44ba39df753b3',
-          'chains': '50bc63bc1f9c1f8b',
-          'layers': [[27], [1, 2], [21], [0, 13, 15, 16], [7, 8, 9, 12, 17]],
-          'paths': '70c76f1270c6d46a',
-          'rotations': 22,
-          'schedule': [1, 1, 6, 3, 4],
-          'special_rotations': [3],
-          'stopped': 'target_met'},
- '13/1': {'base': 'c3176334cb5f44e0',
-          'broken': '75e8ef2f12306d45',
-          'chains': 'fcde2f4c93fd9e53',
-          'layers': [[1], [9, 14], [0, 2, 8, 10, 21, 27], [15, 16, 25]],
-          'paths': 'bdf3bdfd1d8055ed',
-          'rotations': 20,
-          'schedule': [1, 1, 6, 6],
-          'special_rotations': [5],
-          'stopped': 'target_met'},
- '13/2': {'base': 'c3176334cb5f44e0',
-          'broken': '75e8ef2f12306d45',
-          'chains': 'fcde2f4c93fd9e53',
-          'layers': [[1], [9, 14], [0, 2, 8, 10, 21, 27], [15, 16, 25]],
-          'paths': 'bdf3bdfd1d8055ed',
-          'rotations': 21,
-          'schedule': [1, 1, 6, 6],
-          'special_rotations': [5, 13],
-          'stopped': 'target_met'}}
-
-
-def test_small_aware_family_pins():
-    assert observe_small_aware_family() == EXPECTED_SMALL_AWARE_FAMILY
 
 
 # ---------------------------------------------------------------------------

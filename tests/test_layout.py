@@ -2,7 +2,8 @@
 whether imported by name (`from .rotation import _place`) or reached through
 an imported module (`from . import rotation` then `rotation._place`).  The
 soundness checks of every module are explicit raises, not `assert`
-statements, which `python -O` strips."""
+statements, which `python -O` strips.  Every function, class, method and
+property of the package is read somewhere in src/, bench/ or tests/."""
 
 import ast
 import pathlib
@@ -126,3 +127,63 @@ def f(x):
         raise AssertionError("kept under -O")
 """
     assert _asserts(source, "closing") == ["closing:3"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# definitions that only a library calls: argparse reports through _Parser.error
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
+
+
+def _definitions(tree, module):
+    """(qualified name, name, is a method) of each module-level function and
+    class and of each method or property, dunder methods aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
+
+
+def _references(tree, exports=False):
+    """(names read, attributes read) of `tree`.  Names are identifiers and
+    imported names (unless `exports`: the imports of `__init__` are its
+    export list); attributes are attribute accesses.  Both take the parts of
+    string constants that spell a dotted name, as `getattr` and
+    bench/tracing.py bind by."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.alias) and not exports:
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+                attrs.update(parts)
+    return names, attrs
+
+
+def test_every_definition_is_referenced():
+    """A function or class must be read by name or attribute, a method or
+    property by attribute, in some file of src/, bench/ or tests/."""
+    names, attrs = set(), set()
+    for folder in ("src", "bench", "tests"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            n, a = _references(tree, exports=path.name == "__init__.py")
+            names |= n
+            attrs |= a
+    unread = [
+        qualified
+        for module in sorted(MODULES)
+        for qualified, name, method in _definitions(
+            ast.parse((PACKAGE / f"{module}.py").read_text()), module
+        )
+        if name not in attrs and (method or name not in names)
+    ]
+    assert sorted(set(unread) - CALLED_FROM_OUTSIDE) == []
