@@ -12,6 +12,7 @@ from .graph import (
     Path,
     SoundnessError,
     Verdict,
+    adjacency_masks,
     bfs_distances,
     complete,
     complete_bipartite,
@@ -23,6 +24,7 @@ from .graph import (
     is_connected,
     load_edge_list,
     neighborhood,
+    neighborhood_mask,
     path_graph,
     petersen,
     random_regular,

@@ -3,8 +3,10 @@
 Exact checks enumerate candidate sets inside a work budget (default 1e8 subset
 inspections, overridable via the HAMLAB_WORK_BUDGET environment variable).
 Sampled mode only ever refutes: it reports `fails` with a witness or
-`indeterminate`, never `holds`.  Every `fails` witness is re-validated against
-the raw definition before it is returned.
+`indeterminate`, never `holds`.  The enumerations count neighbourhoods with
+adjacency bitmasks (`graph.adjacency_masks`); every `fails` witness is then
+re-validated against the raw definition (`neighborhood`, `has_edge`) before it
+is returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import SoundnessError, bfs_distances, neighborhood
+from .graph import (
+    SoundnessError, adjacency_masks, bfs_distances, neighborhood, neighborhood_mask
+)
 
 DEFAULT_WORK_BUDGET = 10**8
 DEFAULT_FCONN_N = 18
@@ -189,6 +193,12 @@ def _subsets(items, max_size):
     )
 
 
+def _nonexpanding(g, witness, bound, what):
+    """Re-check a witness against the definition: |N(witness)| < bound."""
+    if len(neighborhood(g, witness)) >= bound:
+        raise SoundnessError(f"{what} witness {witness} expands")
+
+
 def _combined_verdict(sub):
     """Fails when any sub-check fails, else indeterminate when any is."""
     if FAILS in sub.values():
@@ -222,23 +232,17 @@ def check_expansion(g, s, d, mode="exact", budget=None, samples=2000, seed=0):
         combos = (rng.sample(vertices, rng.randint(1, s)) for _ in range(samples))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    masks = adjacency_masks(g)
     for combo in combos:
         work += 1
-        if len(neighborhood(g, combo)) < d * len(combo):
+        if neighborhood_mask(masks, combo).bit_count() < d * len(combo):
             witness = sorted(combo)
-            if len(neighborhood(g, witness)) >= d * len(witness):
-                raise SoundnessError(f"expansion witness {witness} expands")
+            _nonexpanding(g, witness, d * len(witness), "expansion")
             return ConditionReport(
                 "expansion", FAILS, {"S": witness}, params, work, mode
             )
     verdict = HOLDS if mode == "exact" else INDETERMINATE
     return ConditionReport("expansion", verdict, None, params, work, mode)
-
-
-def _joined_witness(g, a_set):
-    """Vertices outside A with no neighbor in A."""
-    blocked = set(a_set) | neighborhood(g, a_set)
-    return [v for v in range(g.n) if v not in blocked]
 
 
 def check_joined(g, s, mode="exact", budget=None, samples=2000, seed=0):
@@ -266,13 +270,15 @@ def check_joined(g, s, mode="exact", budget=None, samples=2000, seed=0):
         combos = (rng.sample(vertices, s) for _ in range(samples))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    masks = adjacency_masks(g)
     for combo in combos:
         work += 1
-        rest = _joined_witness(g, combo)
-        if len(rest) >= s:
-            a, b = sorted(combo), rest[:s]
-            if any(g.has_edge(u, v) for u in a for v in b):
-                raise SoundnessError(f"joined witness {a}, {b} has an edge between")
+        nb = neighborhood_mask(masks, combo)
+        if g.n - s - nb.bit_count() >= s:
+            a = sorted(combo)
+            b = [v for v in range(g.n) if v not in a and not nb >> v & 1][:s]
+            if len(b) < s or any(g.has_edge(u, v) for u in a for v in b):
+                raise SoundnessError(f"joined witness {a}, {b} is joined")
             return ConditionReport(
                 "joined", FAILS, {"A": a, "B": b}, params, work, mode
             )
@@ -496,15 +502,15 @@ def fconn_implies_conditions(
     cap = work_budget(budget)
     if _subset_count(g.n, s_small) > cap:
         raise WorkBudgetExceeded("implication (i) enumeration over budget")
+    masks = adjacency_masks(g)
     for combo in _subsets(range(g.n), s_small):
         work += 1
         a = len(combo)
-        nbhd = neighborhood(g, combo)
-        if len(nbhd) >= d * a:
+        # |N(A)| < d|A| and |A| <= n - |A| - |N(A)|
+        bound = min(d * a, g.n - 2 * a + 1)
+        if neighborhood_mask(masks, combo).bit_count() >= bound:
             continue
-        rest = g.n - a - len(nbhd)
-        if a > rest:
-            continue
+        _nonexpanding(g, combo, bound, "implication (i)")
         return ConditionReport(
             "fconn-implications",
             FAILS,
@@ -596,9 +602,11 @@ def check_gnp_properties(
             for _ in range(2000)
             if big
         )
+    masks = adjacency_masks(g)
     for combo in combos:
         work += 1
-        if len(neighborhood(g, combo)) < 3 * d * len(combo):
+        if neighborhood_mask(masks, combo).bit_count() < 3 * d * len(combo):
+            _nonexpanding(g, combo, 3 * d * len(combo), "weak expansion")
             sub["weak_expansion"] = FAILS
             if witness is None:
                 witness = {"property": "weak_expansion", "A": list(combo)}

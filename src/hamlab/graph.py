@@ -224,6 +224,20 @@ def neighborhood(g, s):
     return out - s
 
 
+def adjacency_masks(g):
+    """Neighbour bitmasks: bit v of masks[u] is set when u and v are adjacent."""
+    return [sum(1 << v for v in g.neighbors(u)) for u in range(g.n)]
+
+
+def neighborhood_mask(masks, s):
+    """`neighborhood` of the vertices `s` as a bitmask over `masks`, unchecked."""
+    inside = around = 0
+    for v in s:
+        inside |= 1 << v
+        around |= masks[v]
+    return around & ~inside
+
+
 def is_connected(g):
     return g.n > 0 and min(bfs_distances(g, 0)) >= 0
 

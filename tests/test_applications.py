@@ -1,6 +1,7 @@
 """Application procedures against brute-force ground truth."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from hamlab import (
     hamilton_path_between,
     hamilton_path_oracle,
     hamiltonian_oracle,
+    neighborhood,
     path_graph,
     petersen,
     strip_nonexpanding,
@@ -111,6 +113,47 @@ def test_oracles_refuse_graphs_over_the_cap(monkeypatch):
     ):
         with pytest.raises(ValueError, match=f"oracle capped at n={ORACLE_CAP}"):
             call()
+
+
+def test_hamilton_path_oracle_checks_its_endpoints():
+    g = complete(5)
+    for u, v, bad in ((0, 9, 9), (9, 0, 9), (0, -1, -1), (-3, 2, -3)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            hamilton_path_oracle(g, u, v)
+    with pytest.raises(ValueError, match="vertex 2 out of range"):
+        hamilton_path_oracle(complete(2), 0, 2)
+    assert hamilton_path_oracle(g, 0, 4)[0]
+
+
+def naive_dp_paths_from(g, start):
+    """dp[mask] = set bits of the last vertices of paths from `start` that
+    visit exactly `mask`, straight from the definition in O(2^n n^2)."""
+    dp = [0] * (1 << g.n)
+    dp[1 << start] = 1 << start
+    for mask in range(1 << g.n):
+        for last in range(g.n):
+            if not dp[mask] >> last & 1:
+                continue
+            for v in range(g.n):
+                if not mask >> v & 1 and g.has_edge(last, v):
+                    dp[mask | 1 << v] |= 1 << v
+    return dp
+
+
+def test_subset_dp_table_matches_the_definition():
+    rng = random.Random(4242)
+    for i in range(60):
+        n = rng.randint(1, 10)
+        g = gnp(n, rng.uniform(0.1, 0.9), seed=f"dp:{i}")
+        start = rng.randrange(n)
+        dp, _ = applications._dp_paths_from(g, start)
+        assert list(dp) == naive_dp_paths_from(g, start)
+        every_pair = all(
+            hamilton_path_oracle(g, u, v)[0]
+            for u in range(n)
+            for v in range(u + 1, n)
+        )
+        assert hamilton_connected_oracle(g) == every_pair
 
 
 def test_hamilton_path_between_examples():
@@ -210,6 +253,60 @@ def test_strip_nonexpanding():
         assert len(a_set) <= 2
         assert not (set(a_set) & seen)
         seen |= set(a_set)
+
+
+def naive_strip(g, v0, size_bound, ratio, cap, budget):
+    """The stripping loop walked with `neighborhood` restricted to the window,
+    handing over to the greedy search where the exact one would pass the
+    budget."""
+    removed, trace, heuristic = set(), [], False
+    while len(removed) < cap:
+        window = set(v0) - removed
+        if not window:
+            break
+        wlist, found, total = sorted(window), None, 0
+        for a in range(1, size_bound + 1):
+            total += math.comb(len(wlist), a)
+            if total > budget:
+                heuristic = True
+                sub, labels = g.induced(wlist)
+                found = applications._greedy_violator(sub, labels, size_bound, ratio)
+                break
+            for combo in itertools.combinations(wlist, a):
+                nb = len(neighborhood(g, combo) & window)
+                if nb < ratio * a:
+                    found = list(combo), nb
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        removed |= set(found[0])
+        trace.append((sorted(found[0]), found[1]))
+    return removed, trace, not heuristic and len(removed) < cap, heuristic
+
+
+def test_strip_matches_the_definitional_walk():
+    rng = random.Random(515)
+    greedy = 0
+    for i in range(200):
+        n = rng.randint(4, 14)
+        g = gnp(n, rng.uniform(0.1, 0.7), seed=f"strip:{i}")
+        v0 = rng.sample(range(n), rng.randint(2, n))
+        size_bound = rng.randint(1, 3)
+        ratio = rng.choice([0.5, 1, 2, 3])
+        cap = rng.randint(1, len(v0))
+        budget = rng.choice([10**8, 2 * len(v0)])
+        res = strip_nonexpanding(g, v0, size_bound, ratio, cap=cap, budget=budget)
+        removed, trace, certified, heuristic = naive_strip(
+            g, v0, size_bound, ratio, cap, budget
+        )
+        assert (res.removed, res.trace, res.certified, res.heuristic) == (
+            removed, trace, certified, heuristic
+        )
+        assert res.survivors == set(v0) - removed
+        greedy += heuristic
+    assert greedy >= 15
 
 
 def test_cycle_of_length_k_cliques():

@@ -155,6 +155,125 @@ def test_exact_agrees_with_naive_enumeration():
         assert check_joined(g, s).holds == naive_joined_fast(g, s)
 
 
+def subsets(items, max_size):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, a) for a in range(1, max_size + 1)
+    )
+
+
+def first_failure(combos, fails):
+    """The first combo that fails and its 1-based index, else (None, count)."""
+    work = 0
+    for combo in combos:
+        work += 1
+        if fails(combo):
+            return combo, work
+    return None, work
+
+
+def outside(g, combo):
+    """Vertices outside A u N(A), in increasing order."""
+    blocked = set(combo) | neighborhood(g, combo)
+    return [v for v in range(g.n) if v not in blocked]
+
+
+def test_witness_and_work_match_the_definitional_walk():
+    """Each enumeration reports the first failing set of its subset order (or
+    of its seeded draws) and that set's 1-based index as `work`, exactly as a
+    walk of the same order with `neighborhood` and `has_edge` finds them."""
+    rng = random.Random(808)
+    fconn_checked = 0
+    for i in range(200):
+        n = rng.randint(3, 10)
+        g = gnp(n, rng.uniform(0.1, 0.9), seed=f"pin:{i}")
+        verts = list(range(n))
+        s = rng.randint(1, max(1, n // 2))
+        d = rng.choice([0.5, 1, 1.5, 2, 3])
+        seed = rng.randrange(1000)
+        for mode in ("exact", "sampled"):
+            if mode == "exact":
+                draws = subsets(verts, s)
+            else:
+                draw = random.Random(f"expansion:{seed}")
+                draws = (draw.sample(verts, draw.randint(1, s)) for _ in range(60))
+            combo, work = first_failure(
+                draws, lambda c: len(neighborhood(g, c)) < d * len(c)
+            )
+            rep = check_expansion(g, s, d, mode=mode, samples=60, seed=seed)
+            assert (rep.witness, rep.work) == (
+                None if combo is None else {"S": sorted(combo)}, work
+            )
+
+            if mode == "exact":
+                draws = itertools.combinations(verts, s)
+            else:
+                draw = random.Random(f"joined:{seed}")
+                draws = (draw.sample(verts, s) for _ in range(60))
+            combo, work = first_failure(draws, lambda c: len(outside(g, c)) >= s)
+            rep = check_joined(g, s, mode=mode, samples=60, seed=seed)
+            assert (rep.witness, rep.work) == (
+                None
+                if combo is None
+                else {"A": sorted(combo), "B": outside(g, combo)[:s]},
+                work,
+            )
+
+            small = small_vertices(g)
+            big = [v for v in verts if v not in small]
+            gd = d / 2
+            if mode == "exact":
+                draws = subsets(big, s)
+            else:
+                draw = random.Random(f"gnp-props:{seed}")
+                draws = (
+                    tuple(draw.sample(big, draw.randint(1, min(s, len(big)))))
+                    for _ in range(2000)
+                    if big
+                )
+            combo, work = first_failure(
+                draws, lambda c: len(neighborhood(g, c)) < 3 * gd * len(c)
+            )
+            rep = check_gnp_properties(
+                g, d=gd, distance_bound=0, s_small=s, mode=mode, seed=seed
+            )
+            assert rep.work == math.comb(len(small), 2) + work
+            weak = rep.params["sub"]["weak_expansion"]
+            if combo is not None:
+                assert weak == "fails"
+            else:
+                assert weak == ("holds" if mode == "exact" else "indeterminate")
+            if g.min_degree() < 2:
+                assert rep.witness["property"] == "min_degree"
+            else:
+                assert rep.witness == (
+                    None
+                    if combo is None
+                    else {"property": "weak_expansion", "A": list(combo)}
+                )
+
+        if n > 8:
+            continue
+        # implication (i) under a premise that always holds
+        f = FConnSpec.constant(0)
+        premise = check_f_connected(g, f)
+        s_big = rng.randint(1, max(1, n // 2))
+        combo, work = first_failure(
+            subsets(verts, s),
+            lambda c: len(neighborhood(g, c)) < d * len(c)
+            and len(c) <= len(outside(g, c)),
+        )
+        rep = fconn_implies_conditions(g, f, d=d, s_small=s, s_big=s_big)
+        if combo is None:
+            joined = check_joined(g, s_big)
+            expected = (joined.witness and {**joined.witness, "implication": "joined"})
+            work += joined.work
+        else:
+            expected = {"implication": "expansion", "A": list(combo)}
+        assert (rep.witness, rep.work) == (expected, premise.work + work)
+        fconn_checked += 1
+    assert fconn_checked >= 80
+
+
 def test_joined_equivalence_with_full_quantifier():
     # the |A| = |B| = s reduction matches the unrestricted definition
     rng = random.Random(5)
