@@ -117,13 +117,17 @@ def hamiltonian_oracle(g):
     return True, cycle
 
 
+def _check_vertices(g, vertices):
+    for w in vertices:
+        if not 0 <= w < g.n:
+            raise ValueError(f"vertex {w} out of range")
+
+
 def hamilton_path_oracle(g, u, v):
     """Exact u-v Hamilton path decision for n <= 20."""
     if g.n > ORACLE_CAP:
         raise ValueError(f"oracle capped at n={ORACLE_CAP}")
-    for w in (u, v):
-        if not 0 <= w < g.n:
-            raise ValueError(f"vertex {w} out of range")
+    _check_vertices(g, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
     dp, adj = _dp_paths_from(g, u)
@@ -195,6 +199,7 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
     never-break constraint on (u, v), and finally strips the helper edge.
     The broken-edge log of the protected closing is exposed on the result.
     """
+    _check_vertices(g, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
     stats = new_stats()
@@ -276,6 +281,7 @@ def _strip_protected(cycle_seq, u, v):
 def hamilton_cycle_through_edge(g, e, mode="auto", budget=100000, seed=0):
     """Hamilton cycle containing the edge e (which must be present in g)."""
     u, v = e
+    _check_vertices(g, e)
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     res = hamilton_path_between(g, u, v, mode=mode, budget=budget, seed=seed)
@@ -312,6 +318,7 @@ def strip_nonexpanding(g, v0, size_bound, ratio, cap=None, budget=None):
     (default: size_bound, mirroring the n/t stopping rule).
     """
     v0 = set(v0)
+    _check_vertices(g, v0)
     if cap is None:
         cap = size_bound
     removed = set()

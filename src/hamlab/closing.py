@@ -3,8 +3,8 @@
 Two routes are provided.  The proof-faithful pipeline runs in auditable
 stages: rotate both path ends to collect endpoint pairs, split the base path
 into 2*rho segments, pick a tau-sequence of unbroken segments shared by many
-pairs, model each half as a contracted path graph (connectors between segments
-become single edges, chords incident to segment endpoints are dropped), rotate
+pairs, model each half (with TAU = 2, one oriented segment) as a path graph
+that keeps only the chords between the segment's interior vertices, rotate
 inside the models from a good initial pivot, and close with an edge between
 the two obtained endpoint sets.  The heuristic route is a plain randomized
 rotation loop.  Every cycle either route returns passes validate_cycle; a
@@ -208,101 +208,47 @@ def select_sigma0(records, tau, must_include=None):
 
 @dataclass
 class ContractedModel:
-    """Dense path-graph model of one tau-sequence half.
+    """Dense path-graph model of one half, a single oriented segment.
 
     Model vertex i is position i along the model spine; labels maps it back to
-    the real vertex.  Link edges (contracted connectors) are the spine edges
-    between consecutive runs; their real expansions depend on the concrete
-    pair path and are resolved at lift time.
+    the real vertex.  The spine starts at the half's boundary vertex (x on
+    side 1, y on side 2); its far end meets the rest of the pair path, which
+    the helper vertex w stands for at lift time.
     """
 
-    spanned: SpannedGraph | None
+    spanned: SpannedGraph
     labels: tuple
     side: int
-    runs: tuple  # oriented real runs, in sigma order (after any contraction)
     frozen: bool = False  # no rotatable structure; endpoint set is the anchor
 
 
-def _oriented_runs(dec, half):
-    runs = []
-    for seg_idx, rev in half.entries:
-        seg = dec.segments[seg_idx]
-        runs.append(tuple(reversed(seg)) if rev else tuple(seg))
-    return tuple(runs)
-
-
 def build_contracted(dec, half, g, side, protected_segment=None):
-    """Build the model graph of one half (side 1 starts at x, side 2 at y).
+    """Build the model graph of a one-segment half (side 1 starts at x, side
+    2 at y).
 
-    Consecutive runs are linked last-to-first; chords of G are added only
-    between run interiors.  A protected segment is contracted away: it
-    disappears from the model (its vertices ride inside a link expansion),
-    except that a boundary vertex (x or y) it contains stays as a lone run.
+    The spine is the oriented segment, reversed on side 1 so that it starts
+    at x; chords of G are added only between its interior vertices.  A
+    protected segment is contracted away except for its boundary vertex (x or
+    y), which stays as a lone, frozen model.
     """
-    runs = list(_oriented_runs(dec, half))
-    if protected_segment is not None:
-        keep = []
-        for (seg_idx, rev), run in zip(half.entries, runs):
-            if seg_idx != protected_segment:
-                keep.append(run)
-                continue
-            is_last_of_side1 = side == 1 and seg_idx == half.entries[-1][0]
-            is_first_of_side2 = side == 2 and seg_idx == half.entries[0][0]
-            if is_last_of_side1:
-                keep.append((run[-1],))  # x stays
-            elif is_first_of_side2:
-                keep.append((run[0],))  # y stays
-        runs = keep
-    if not runs:
-        return ContractedModel(None, (), side, (), frozen=True)
-    concat = [v for run in runs for v in run]
-    spine_real = tuple(reversed(concat)) if side == 1 else tuple(concat)
-    labels = spine_real
-    index = {v: i for i, v in enumerate(spine_real)}
-    l = len(spine_real)
-    edges = set()
-    for i in range(l - 1):
-        edges.add((i, i + 1))
-    interiors = set()
-    for run in runs:
-        interiors.update(run[1:-1])
-    for u in interiors:
+    if len(half) != 1:
+        raise ValueError(f"a half is one segment, not {len(half)}")
+    ((seg_idx, rev),) = half.entries
+    seg = dec.segments[seg_idx]
+    run = seg[::-1] if rev else seg
+    labels = tuple(run[::-1] if side == 1 else run)
+    if seg_idx == protected_segment:
+        labels = labels[:1]  # x or y stays
+    l = len(labels)
+    edges = {(i, i + 1) for i in range(l - 1)}
+    interior = {v: i for i, v in enumerate(labels[1:-1], 1)}
+    for u, i in interior.items():
         for v in g.neighbors(u):
-            if v in interiors and index[u] < index[v]:
-                edges.add((index[u], index[v]))
-    model_graph = Graph(l, edges)
-    spanned = SpannedGraph(model_graph, tuple(range(l)))
-    frozen = l < 3
-    return ContractedModel(spanned, labels, side, tuple(runs), frozen=frozen)
-
-
-def _run_bounds(model):
-    """(first, last) spine positions of each run, in spine order."""
-    bounds = []
-    offset = 0
-    for run in (tuple(reversed(model.runs)) if model.side == 1 else model.runs):
-        bounds.append((offset, offset + len(run) - 1))
-        offset += len(run)
-    return bounds
-
-
-def _link_expansions(model, phat):
-    """Real interior vertices hidden inside each model link edge."""
-    expansions = {}
-    bounds = _run_bounds(model)
-    for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-        u = model.labels[a1]
-        v = model.labels[b0]
-        pu, pv = phat.pos[u], phat.pos[v]
-        lo, hi = (pu, pv) if pu < pv else (pv, pu)
-        interior = phat.vertices[lo + 1 : hi]
-        if pu < pv:
-            expansions[(a1, b0)] = interior
-            expansions[(b0, a1)] = tuple(reversed(interior))
-        else:
-            expansions[(a1, b0)] = tuple(reversed(interior))
-            expansions[(b0, a1)] = interior
-    return expansions
+            j = interior.get(v)
+            if j is not None and i < j:
+                edges.add((i, j))
+    spanned = SpannedGraph(Graph(l, edges), tuple(range(l)))
+    return ContractedModel(spanned, labels, side, frozen=l < 3)
 
 
 def _w_block(model, phat):
@@ -315,26 +261,20 @@ def _w_block(model, phat):
 
 
 def lift_model_path(model_seq, model, phat):
-    """Expand a spanning path of the augmented model back to a real path."""
+    """Expand a spanning path of the augmented model back to a real path:
+    each model vertex becomes its label, and the helper vertex w the
+    connector behind it."""
     labels = model.labels
-    l = len(labels)
-    w_id = l
-    links = _link_expansions(model, phat)
+    l = len(labels)  # the id of w
     block = _w_block(model, phat)
     out = [labels[model_seq[0]]]
     for mu, mv in zip(model_seq, model_seq[1:]):
-        if mv == w_id:
-            if mu == l - 1:
-                out.extend(block)
-            else:
-                out.extend(reversed(block))
-        elif mu == w_id:
+        if mv != l:
             out.append(labels[mv])
-        elif (mu, mv) in links:
-            out.extend(links[(mu, mv)])
-            out.append(labels[mv])
+        elif mu == l - 1:
+            out.extend(block)
         else:
-            out.append(labels[mv])
+            out.extend(reversed(block))
     return out
 
 
@@ -342,27 +282,19 @@ def lift_model_path(model_seq, model, phat):
 # Model closures that remember a witnessing path per endpoint
 
 
-def _model_link_edges(model):
-    """Model spine edges that stand for contracted connectors."""
-    bounds = _run_bounds(model)
-    return {(a1, b0) for (a0, a1), (b0, b1) in zip(bounds, bounds[1:])}
-
-
 def model_endpoint_paths(model, pivot_model, budget=4000, log=None):
     """Endpoint -> model spanning path map for rotations from the given pivot.
 
-    Rotations that would break a link edge or a helper-vertex edge are
-    skipped: contracted connectors are frozen blocks, so every broken edge
-    stays inside a segment and every surviving state lifts to a real path.
+    Rotations that would break one of the helper vertex's two edges are
+    skipped: the connector behind w is a frozen block, so every broken edge
+    stays inside the segment and every surviving state lifts to a real path.
     """
     aug = augment(model.spanned, pivot_model)
-    forbidden = _model_link_edges(model)
-    forbidden |= {edge_key(a, b) for a, b in aug.added_edges}
     return closure(
         aug.graph,
         aug.rotated_start,
         exclude=(aug.added_vertex,),
-        forbidden=forbidden,
+        forbidden={edge_key(a, b) for a, b in aug.added_edges},
         budget=budget,
         log=log,
     ).witness
@@ -473,11 +405,7 @@ def _pipeline_once(g, path, protected_edge, stats):
     half2 = TauSequence(sigma0.entries[TAU // 2 :])
     model1 = build_contracted(dec, half1, g, 1, protected_segment)
     model2 = build_contracted(dec, half2, g, 2, protected_segment)
-
-    seg_x = dec.segments[half1.entries[-1][0]]
-    x = seg_x[0] if half1.entries[-1][1] else seg_x[-1]
-    seg_y = dec.segments[half2.entries[0][0]]
-    y = seg_y[-1] if half2.entries[0][1] else seg_y[0]
+    x, y = model1.labels[0], model2.labels[0]
 
     # rank cutoff replacing the alpha*n/2 membership threshold
     first_counts = collections.Counter(a for a, _ in pairs)
@@ -520,17 +448,15 @@ def _untouched(p3, phat):
 
 
 def _candidate_pivots(model):
-    """Good model pivots (spine positions) interior to their runs, or None
-    when a rotatable side has none.
+    """Good model pivots (interior spine positions), or None when a
+    rotatable side has none.
 
-    A frozen side (fully contracted) has no pivots but is still usable: its
-    endpoint set degenerates to the anchor.
+    A frozen side (a protected segment, or one too short to rotate) has no
+    pivots but is still usable: its endpoint set degenerates to the anchor.
     """
     if model.frozen:
         return []
-    audit = classify_pivots(model.spanned, GOOD_RATIO, budget=CLOSURE_BUDGET)
-    tips = {pos for bound in _run_bounds(model) for pos in bound}
-    good = [pm for pm in audit.good if pm not in tips]
+    good = classify_pivots(model.spanned, GOOD_RATIO, budget=CLOSURE_BUDGET).good
     return good[:PIVOT_CAP] if good else None
 
 

@@ -228,6 +228,16 @@ def test_protected_proof_faithful_closing():
     assert attempts >= 20 and wins >= attempts * 2 // 3
 
 
+def test_protected_searches_check_their_endpoints():
+    # -1 must not wrap around to vertex n-1
+    g = complete(5)
+    for u, v, bad in ((-1, 2, -1), (2, -1, -1), (0, 5, 5)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            hamilton_path_between(g, u, v)
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            hamilton_cycle_through_edge(g, (u, v))
+
+
 def test_hamilton_cycle_through_edge():
     cyc = hamilton_cycle_through_edge(complete(4), (0, 1))
     edges = {edge_key(a, b) for a, b in zip(cyc.vertices, cyc.vertices[1:] + cyc.vertices[:1])}
@@ -237,6 +247,13 @@ def test_hamilton_cycle_through_edge():
     assert hamilton_cycle_through_edge(complete_bipartite(2, 3), (0, 2), budget=3000) is None
     with pytest.raises(ValueError):
         hamilton_cycle_through_edge(complete_bipartite(2, 3), (0, 1))
+
+
+def test_strip_nonexpanding_checks_its_window():
+    g = complete(5)
+    for v0, bad in (([0, 7], 7), ([0, -2], -2), ([5], 5)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            strip_nonexpanding(g, v0, 1, 1)
 
 
 def test_strip_nonexpanding():

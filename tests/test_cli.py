@@ -246,6 +246,13 @@ def test_check_conditions_on_gnp_with_d(capsys):
     assert json.loads(out)["params"]["d"] == 3
 
 
+def test_path_endpoint_out_of_range_is_usage_error(capsys):
+    for u, v in (("-1", "2"), ("0", "5")):
+        code = main(["path", "--family", "complete", "--n", "5", "--u", u, "--v", v])
+        assert code == EXIT_USAGE
+        assert "out of range" in capsys.readouterr().err
+
+
 def test_family_missing_parameter_is_usage_error(capsys):
     assert main(["gen", "--family", "gnp", "--n", "20"]) == EXIT_USAGE
     assert "--p" in capsys.readouterr().err

@@ -218,30 +218,40 @@ def test_select_sigma0_identical_records():
 
 def test_build_contracted_shapes():
     g = complete(12)
-    p = Path(range(12))
-    dec = decompose(p, 3)  # six 2-vertex segments
-    half = TauSequence(((0, False), (2, False)))
-    model = build_contracted(dec, half, g, side=1)
-    # spine reversed: starts at the last vertex of segment 2
-    assert model.labels[0] == dec.segments[2][-1]
-    assert model.labels[-1] == dec.segments[0][0]
-    assert not model.frozen
-    # no chord of G incident to a run tip appears in the model
-    l = len(model.labels)
-    for u, v in model.spanned.graph.edges:
-        if abs(u - v) != 1:
-            assert 0 < u < l - 1 and 0 < v < l - 1
+    dec = decompose(Path(range(12)), 2)  # four 3-vertex segments
+    # the spine starts at x on side 1 and at y on side 2
+    for side, rev, spine in (
+        (1, False, (5, 4, 3)),
+        (1, True, (3, 4, 5)),
+        (2, False, (3, 4, 5)),
+        (2, True, (5, 4, 3)),
+    ):
+        model = build_contracted(dec, TauSequence(((1, rev),)), g, side)
+        assert model.labels == spine
+        assert model.side == side and not model.frozen
+        # a protected segment keeps only its boundary vertex, frozen
+        kept = build_contracted(dec, TauSequence(((1, rev),)), g, side, protected_segment=1)
+        assert kept.labels == spine[:1] and kept.frozen
+        other = build_contracted(dec, TauSequence(((1, rev),)), g, side, protected_segment=2)
+        assert other.labels == spine and not other.frozen
 
 
 def test_build_contracted_interior_chords_only():
     g = complete(12)
-    dec = decompose(Path(range(12)), 2)  # four 3-vertex segments
-    half = TauSequence(((0, False), (1, False)))
-    model = build_contracted(dec, half, g, side=2)
-    assert model.labels == tuple(dec.segments[0]) + tuple(dec.segments[1])
-    chords = [e for e in model.spanned.graph.edges if abs(e[0] - e[1]) != 1]
-    # interiors are model positions 1 and 4; the only chord is between them
-    assert chords == [(1, 4)]
+    dec = decompose(Path(range(12)), 1)  # two 6-vertex segments
+    model = build_contracted(dec, TauSequence(((1, True),)), g, side=2)
+    assert model.labels == (11, 10, 9, 8, 7, 6)
+    chords = sorted(e for e in model.spanned.graph.edges if abs(e[0] - e[1]) != 1)
+    # G is complete, but neither spine tip (0 or 5) gets a chord
+    assert chords == [(1, 3), (1, 4), (2, 4)]
+
+
+def test_build_contracted_takes_one_segment():
+    g = complete(12)
+    dec = decompose(Path(range(12)), 2)
+    for entries in ((), ((0, False), (2, False))):
+        with pytest.raises(ValueError, match="one segment"):
+            build_contracted(dec, TauSequence(entries), g, 1)
 
 
 def _model_lifts(g):

@@ -6,7 +6,9 @@ layered endpoint-family loops; the heuristic-search values were recorded from
 the loop that rebuilt a frozen `Path` for every rotation, extension and
 reversal; the segment-record and sigma0 values were recorded from the
 record stage that rebuilt every record from the whole pair path and counted
-every tau-sequence of every record.  Any refactor of the engine must
+every tau-sequence of every record; the one-segment model values were
+recorded from the model builder that still linked the runs of multi-segment
+halves by contracted connectors.  Any refactor of the engine must
 reproduce them exactly.  Large structures (chains, witness paths, records)
 are pinned by a digest of their canonical JSON.
 """
@@ -304,15 +306,23 @@ def test_process_bad_vertices_pins():
 
 
 def observe_model_endpoint_paths():
+    """One-segment halves, as the pipeline builds them with TAU = 2: the
+    model's shape and, from three pivots under two budgets, its endpoint
+    set, witness paths and broken-edge log; and a frozen protected model."""
     g = gnp(40, 0.3, seed="pins:model")
     p = extend(g, Path((0,)))
     dec = decompose(p, 2)
     out = {}
-    for side, entries in ((1, ((0, False), (1, False))), (2, ((2, False), (3, False)))):
+    for side, entries in ((1, ((0, False),)), (2, ((3, True),))):
         model = build_contracted(dec, TauSequence(entries), g, side)
         l = len(model.labels)
+        out[f"{side}/model"] = {
+            "labels": list(model.labels),
+            "edges": _digest(sorted(model.spanned.graph.edges)),
+            "frozen": model.frozen,
+        }
         for pm in (1, l // 2, l - 3):
-            for budget in (60, 4000):
+            for budget in (3, 4000):
                 log = set()
                 paths = model_endpoint_paths(model, pm, budget=budget, log=log)
                 out[f"{side}/{pm}/{budget}"] = {
@@ -320,45 +330,32 @@ def observe_model_endpoint_paths():
                     "witnesses": _digest({str(k): list(v) for k, v in sorted(paths.items())}),
                     "log": _digest(sorted(log)),
                 }
+    model = build_contracted(dec, TauSequence(((0, False),)), g, 1, protected_segment=0)
+    out["protected"] = {"labels": list(model.labels), "frozen": model.frozen}
     return out
 
 
-EXPECTED_MODEL_ENDPOINT_PATHS = {'1/1/4000': {'endpoints': [2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14, 15],
-              'log': '0db60c3e1832fc03',
-              'witnesses': '5dd8366892637beb'},
- '1/1/60': {'endpoints': [2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 14, 15],
-            'log': '0db60c3e1832fc03',
-            'witnesses': '5dd8366892637beb'},
- '1/15/4000': {'endpoints': [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
-               'log': '244881b01a18018a',
-               'witnesses': '9b04f2bd022b165b'},
- '1/15/60': {'endpoints': [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
-             'log': 'b4881535186d109e',
-             'witnesses': '9b04f2bd022b165b'},
- '1/9/4000': {'endpoints': [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17],
-              'log': '97cadf379b021914',
-              'witnesses': '0402dd7048cdf689'},
- '1/9/60': {'endpoints': [2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 16, 17],
-            'log': '04a7b58128f26bfd',
-            'witnesses': '621e5aa7173b16b9'},
- '2/1/4000': {'endpoints': [2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15],
-              'log': '8a68a12b24d23c04',
-              'witnesses': 'd233034c5416a220'},
- '2/1/60': {'endpoints': [2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15],
-            'log': '8a68a12b24d23c04',
-            'witnesses': 'd233034c5416a220'},
- '2/15/4000': {'endpoints': [2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
-               'log': '4f2c678e0f8a13b6',
-               'witnesses': '98a3b9e8e3ab669a'},
- '2/15/60': {'endpoints': [2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14, 15, 16, 17],
-             'log': 'f318a92136b2f698',
-             'witnesses': 'e3f5f691176e0ddf'},
- '2/9/4000': {'endpoints': [2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14, 15, 16, 17],
-              'log': '025904a520b71857',
-              'witnesses': '2d82ad3ab4ac7219'},
- '2/9/60': {'endpoints': [2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14, 15, 16, 17],
-            'log': 'a483009684fd3772',
-            'witnesses': '2d82ad3ab4ac7219'}}
+EXPECTED_MODEL_ENDPOINT_PATHS = {'1/1/3': {'endpoints': [2, 6], 'log': 'b7edaca73f0e42df', 'witnesses': '7177ca633f187e9c'},
+ '1/1/4000': {'endpoints': [2, 6], 'log': 'b7edaca73f0e42df', 'witnesses': '7177ca633f187e9c'},
+ '1/4/3': {'endpoints': [5], 'log': '4f53cda18c2baa0c', 'witnesses': 'cd54ecd635a23811'},
+ '1/4/4000': {'endpoints': [5], 'log': '4f53cda18c2baa0c', 'witnesses': 'cd54ecd635a23811'},
+ '1/6/3': {'endpoints': [3, 7], 'log': '32df5bcef9fe387f', 'witnesses': 'c097cc2d24bbcfea'},
+ '1/6/4000': {'endpoints': [3, 7], 'log': '32df5bcef9fe387f', 'witnesses': 'c097cc2d24bbcfea'},
+ '1/model': {'edges': '9f0883e4b3bd0aaa', 'frozen': False, 'labels': [5, 2, 13, 7, 1, 3, 6, 4, 0]},
+ '2/1/3': {'endpoints': [2, 5, 6], 'log': 'c6db44d0975f406d', 'witnesses': '256e87d46b855f80'},
+ '2/1/4000': {'endpoints': [2, 3, 5, 6],
+              'log': 'd86a9ba07b4822ac',
+              'witnesses': '30c262f68a2d0724'},
+ '2/4/3': {'endpoints': [2, 5, 7], 'log': '2403032d9c37c691', 'witnesses': '9965a3d9c07550ec'},
+ '2/4/4000': {'endpoints': [2, 3, 5, 7, 8],
+              'log': '023041cacbbc6088',
+              'witnesses': '62d47742dd0a7053'},
+ '2/6/3': {'endpoints': [3, 7], 'log': '32df5bcef9fe387f', 'witnesses': 'c097cc2d24bbcfea'},
+ '2/6/4000': {'endpoints': [3, 7], 'log': '32df5bcef9fe387f', 'witnesses': 'c097cc2d24bbcfea'},
+ '2/model': {'edges': '52b6de602784657c',
+             'frozen': False,
+             'labels': [34, 38, 33, 30, 32, 28, 31, 29, 27]},
+ 'protected': {'frozen': True, 'labels': [5]}}
 
 
 def test_model_endpoint_paths_pins():

@@ -3,9 +3,11 @@ whether imported by name (`from .rotation import _place`) or reached through
 an imported module (`from . import rotation` then `rotation._place`).  The
 soundness checks of every module are explicit raises, not `assert`
 statements, which `python -O` strips.  Every function, class, method and
-property of the package is read somewhere in src/, bench/ or tests/."""
+property of the package is read somewhere in src/, bench/ or tests/, and
+every function bench/tracing.py wraps is still bound where it looks."""
 
 import ast
+import importlib
 import pathlib
 
 import hamlab
@@ -187,3 +189,32 @@ def test_every_definition_is_referenced():
         if name not in attrs and (method or name not in names)
     ]
     assert sorted(set(unread) - CALLED_FROM_OUTSIDE) == []
+
+
+# bindings bench/tracing.py still names though hamlab no longer has them;
+# they go with a change to the benchmark alone
+STALE_TRACED = {("applications", "rotate"), ("applications", "extend")}
+
+
+def _traced_bindings(source):
+    """(module, function name) of each binding in the `FUNCTIONS` table of
+    bench/tracing.py, read from its source without importing it."""
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else ()
+        if any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in targets):
+            for entry in node.value.elts:
+                _, name, modules = entry.elts
+                for module in modules.elts:
+                    yield module.id, name.value
+
+
+def test_traced_functions_exist():
+    bindings = set(_traced_bindings((ROOT / "bench" / "tracing.py").read_text()))
+    assert ("closing", "build_contracted") in bindings
+    assert ("closing", "model_endpoint_paths") in bindings
+    missing = {
+        (module, name)
+        for module, name in bindings
+        if not hasattr(importlib.import_module(f"hamlab.{module}"), name)
+    }
+    assert missing <= STALE_TRACED
