@@ -12,6 +12,7 @@ indeterminate, 64 usage error, 70 internal error (a soundness check failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -136,7 +137,10 @@ def _add_graph_source(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `parse_args` keeps no
+    state between calls, and each call returns a fresh namespace."""
     parser = _Parser(prog="hamlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="replay a saved run configuration")
@@ -377,6 +381,11 @@ COMMANDS = {
 
 
 def main(argv=None):
+    """Run one invocation and return its exit code.
+
+    The parser is built once per process (`build_parser` is cached), so
+    repeated in-process calls pay only for parsing their own argv.
+    """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -30,6 +30,11 @@ class Graph:
     """Undirected simple graph with set-based adjacency queries.
 
     Immutable after construction; safe to share across threads.
+
+    The iteration order of `neighbors(v)` and `edges` follows the insertion
+    order of the input edges (hash-table order after inserting them in that
+    order), and the seeded outputs depend on it: `rng.choice` draws from a
+    neighbour set, and `induced` walks `edges`.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -38,29 +43,38 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        adj = [set() for _ in range(n)]
-        canon = set()
+        adj = [[] for _ in range(n)]
+        canon = []
+        append = canon.append
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                _raise_duplicate(canon)  # an earlier duplicate comes first
+                if u == v and 0 <= u < n:
+                    raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = edge_key(u, v)
-            if e in canon:
-                raise ValueError(f"duplicate edge {e}")
-            canon.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.edges = frozenset(canon)
-        self._adj = tuple(frozenset(s) for s in adj)
+            adj[u].append(v)
+            adj[v].append(u)
+            append((u, v) if u < v else (v, u))
+        edge_set = set(canon)
+        if len(edge_set) != len(canon):
+            _raise_duplicate(canon)
+        # Copying a set built by insertion in input order reproduces the
+        # iteration order of the frozensets that set-by-set adds gave; a
+        # frozenset built straight from the list orders some sets differently.
+        self.edges = frozenset(edge_set)
+        self._adj = tuple(frozenset(set(lst)) for lst in adj)
 
     def neighbors(self, v):
+        """Neighbour set of v.  Unchecked (a hot path): v must lie in 0..n-1,
+        and a negative v reads vertex n + v."""
         return self._adj[v]
 
     def degree(self, v):
         return len(self._adj[v])
 
     def has_edge(self, u, v):
+        """Adjacency test.  Unchecked (a hot path): u and v must lie in
+        0..n-1, and a negative u reads vertex n + u."""
         return v in self._adj[u]
 
     def min_degree(self):
@@ -68,6 +82,7 @@ class Graph:
 
     def with_edge(self, u, v):
         """Return a copy with edge (u, v) added (no-op if present)."""
+        _check_vertices(self, (u, v))
         if self.has_edge(u, v):
             return self
         return Graph(self.n, list(self.edges) + [(u, v)])
@@ -79,11 +94,14 @@ class Graph:
         subgraph's vertex i.
         """
         labels = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(labels)}
+        _check_vertices(self, labels[:1] + labels[-1:])
+        index = [-1] * self.n
+        for i, v in enumerate(labels):
+            index[v] = i
         edges = [
-            (index[u], index[v])
+            (a, b)
             for (u, v) in self.edges
-            if u in index and v in index
+            if (a := index[u]) >= 0 and (b := index[v]) >= 0
         ]
         return Graph(len(labels), edges), labels
 
@@ -99,6 +117,21 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _check_vertices(g, vertices):
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+
+
+def _raise_duplicate(canon):
+    """Raise for the first edge of `canon` (in order) that repeats an earlier one."""
+    seen = set()
+    for e in canon:
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
 
 
 class Path:
@@ -215,9 +248,7 @@ def validate_cycle(g, vertices, hamilton=False):
 def neighborhood(g, s):
     """External neighborhood: vertices outside `s` adjacent to `s`."""
     s = set(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    _check_vertices(g, s)
     out = set()
     for v in s:
         out.update(g.neighbors(v))
@@ -226,7 +257,8 @@ def neighborhood(g, s):
 
 def adjacency_masks(g):
     """Neighbour bitmasks: bit v of masks[u] is set when u and v are adjacent."""
-    return [sum(1 << v for v in g.neighbors(u)) for u in range(g.n)]
+    bit = [1 << v for v in range(g.n)]
+    return [sum(map(bit.__getitem__, g.neighbors(u))) for u in range(g.n)]
 
 
 def neighborhood_mask(masks, s):
@@ -287,13 +319,8 @@ def path_graph(n):
 def gnp(n, p, seed=0):
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = random.Random(f"gnp:{seed}")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+    draw = random.Random(f"gnp:{seed}").random
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
 
 
 def random_regular(n, d, seed=0):

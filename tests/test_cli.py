@@ -11,6 +11,7 @@ from hamlab.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from hamlab.conditions import work_budget
@@ -266,3 +267,29 @@ def test_soundness_failure_is_internal_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: rejected\n"
+
+
+def test_cached_parser_keeps_nothing_between_calls(capsys):
+    graph = ["--family", "gnp", "--n", "20", "--p", "0.5"]
+    calls = [
+        ["check", *graph, "--d", "8", "--conditions"],
+        ["check", *graph, "--conditions"],  # --d falls back to 12
+        ["check", *graph],  # usage error: no checker chosen
+        ["gen", *graph],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(call(argv))
+    build_parser.cache_clear()
+    in_turn = [call(argv) for argv in calls]
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_OK]
+    assert json.loads(alone[0][1])["params"]["d"] == 8
+    assert json.loads(alone[1][1])["params"]["d"] == 12

@@ -35,6 +35,110 @@ def test_graph_rejects_self_loop_and_duplicates():
         Graph(2, [(0, 5)])
 
 
+def _reference_graph(n, edges):
+    """The constructor `Graph` replaced: per-edge checks and set adds, then a
+    frozenset copy.  Returns the neighbour lists and edge list it iterates."""
+    adj = [set() for _ in range(n)]
+    canon = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in canon:
+            raise ValueError(f"duplicate edge {e}")
+        canon.add(e)
+        adj[u].add(v)
+        adj[v].add(u)
+    return [list(frozenset(s)) for s in adj], list(frozenset(canon))
+
+
+def _reference_gnp_edges(n, p, seed):
+    rng = random.Random(f"gnp:{seed}")
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def test_iteration_order_matches_reference_constructor(monkeypatch):
+    # the seeded searches draw from neighbour sets and walk `edges`, so the
+    # order of both is part of the behaviour, not only their contents
+    inputs = []
+    init = Graph.__init__
+
+    def recording_init(self, n, edges=()):
+        edges = list(edges)
+        inputs.append((n, edges))
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    rng = random.Random(2024)
+    builds = []
+    for seed in range(4):
+        builds.append(lambda seed=seed: gnp(150, 0.06, seed=seed))
+        builds.append(lambda seed=seed: gnp(90, 0.5, seed=seed))
+        builds.append(lambda seed=seed: random_regular(120, 3, seed=seed))
+        builds.append(lambda seed=seed: random_regular(40, 4, seed=seed))
+    builds += [lambda: complete(13), lambda: complete(40), petersen]
+    base = gnp(200, 0.1, seed=5)
+    for _ in range(4):
+        keep = rng.sample(range(base.n), rng.randint(30, 150))
+        builds.append(lambda keep=keep: base.induced(keep)[0])
+        u, v = rng.sample(range(base.n), 2)
+        builds.append(lambda u=u, v=v: base.with_edge(u, v))
+        lines = [f"{a} {b}" for a, b in sorted(base.edges)]
+        rng.shuffle(lines)
+        text = "\n".join([f"{base.n} {len(lines)}"] + lines)
+        builds.append(lambda text=text: load_edge_list(text))
+    for build in builds:
+        g = build()
+        n, edges = inputs[-1]
+        adj, edge_list = _reference_graph(n, edges)
+        assert [list(g.neighbors(v)) for v in range(g.n)] == adj
+        assert list(g.edges) == edge_list
+    for seed in range(4):
+        inputs.clear()
+        gnp(150, 0.06, seed=seed)
+        assert inputs == [(150, _reference_gnp_edges(150, 0.06, seed))]
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 0)], "self-loop at vertex 0"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        (2, [(0, 5)], "vertex out of range in edge (0, 5)"),
+        (3, [(5, 5)], "vertex out of range in edge (5, 5)"),
+        (4, [(0, 1), (2, 1), (1, 0), (0, 7)], "duplicate edge (0, 1)"),
+        (4, [(0, 1), (1, 2), (-1, 2), (2, 1)], "vertex out of range in edge (-1, 2)"),
+        (4, [(2, 3), (3, 2), (1, 1)], "duplicate edge (2, 3)"),
+        (4, [(2, 3), (1, 1), (3, 2)], "self-loop at vertex 1"),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 1)], "duplicate edge (1, 2)"),
+    ],
+)
+def test_graph_reports_first_bad_edge_in_input_order(n, edges, message):
+    with pytest.raises(ValueError) as ref:
+        _reference_graph(n, edges)
+    assert str(ref.value) == message
+    with pytest.raises(ValueError) as exc:
+        Graph(n, edges)
+    assert str(exc.value) == message
+
+
+def test_with_edge_and_induced_reject_out_of_range_vertices():
+    k5 = complete(5)
+    for u, v in ((-1, 2), (2, -1), (0, 5)):
+        bad = u if not 0 <= u < 5 else v
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            k5.with_edge(u, v)
+    with pytest.raises(ValueError, match="^vertex -1 out of range$"):
+        k5.induced([-1, 0, 7])
+    with pytest.raises(ValueError, match="^vertex 7 out of range$"):
+        k5.induced([0, 7])
+    sub, labels = k5.induced([4, 0])
+    assert labels == [0, 4] and sub.edges == {(0, 1)}
+    assert k5.induced([]) == (Graph(0), [])
+
+
 def test_adjacency_symmetric_and_degree_sum():
     g = gnp(40, 0.2, seed=3)
     for u in range(g.n):
