@@ -400,14 +400,12 @@ def cycle_of_length_k(
     t=10,
     seed=None,
     retries=20,
-    ratio=None,
-    size_bound=1,
     budget=30000,
-    mode="heuristic",
 ):
     """Find a cycle of exactly k vertices: choose a window V0 of size k + n/t,
-    strip its non-expanding sets, then repeatedly sample k-subsets of the
-    survivors and search the induced subgraph for a Hamilton cycle.
+    strip from it, one at a time, the vertices with fewer than 2 neighbours
+    left in it, then repeatedly sample k-subsets of the survivors and search
+    the induced subgraph for a Hamilton cycle with the heuristic search.
 
     V0 takes the lowest identifiers by default and is sampled uniformly when a
     seed is given.  Each retry draws a fresh subset.
@@ -421,10 +419,7 @@ def cycle_of_length_k(
         v0 = set(range(window))
     else:
         v0 = set(rng.sample(range(n), window))
-    if ratio is None:
-        ratio = 2.0
-    strip = strip_nonexpanding(g, v0, size_bound=size_bound, ratio=ratio,
-                               cap=max(1, window - k))
+    strip = strip_nonexpanding(g, v0, size_bound=1, ratio=2.0, cap=max(1, window - k))
     survivors = sorted(strip.survivors)
     stats = new_stats()
     if len(survivors) < k:
@@ -432,7 +427,9 @@ def cycle_of_length_k(
     for attempt in range(retries):
         subset = sorted(rng.sample(survivors, k)) if len(survivors) > k else survivors
         sub, labels = g.induced(subset)
-        res = find_hamilton_cycle(sub, mode=mode, budget=budget, seed=(seed, attempt))
+        res = find_hamilton_cycle(
+            sub, mode="heuristic", budget=budget, seed=(seed, attempt)
+        )
         stats["rotations"] += res.stats["rotations"]
         stats["restarts"] += res.stats["restarts"]
         stats["families_built"] += res.stats["families_built"]

@@ -69,9 +69,12 @@ class RunConfig:
     def load(path):
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("schema") != SCHEMA:
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
             raise UsageError(f"unsupported config schema in {path}")
-        return RunConfig(payload["argv"])
+        argv = payload.get("argv")
+        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+            raise UsageError(f"config {path} needs an argv list of strings")
+        return RunConfig(argv)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -241,7 +244,7 @@ def cmd_check(args):
             d = args.d if args.d is not None else 12
             report = check_conditions(g, d, variant=args.variant, mode=args.mode)
         else:
-            report = check_gnp_properties(g)
+            report = check_gnp_properties(g, mode=args.mode)
     except WorkBudgetExceeded as exc:
         _dump({"error": "work budget exceeded", "detail": str(exc)}, args.out)
         return EXIT_INDETERMINATE
@@ -338,7 +341,7 @@ def cmd_sweep(args):
     if args.jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
             results = pool.map(_sweep_point, configs)
     else:
         results = [_sweep_point(c) for c in configs]
@@ -392,9 +395,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            replay = RunConfig.load(args.config)
-            args = parser.parse_args(replay.argv)
-        elif args.subcommand is None:
+            args = parser.parse_args(RunConfig.load(args.config).argv)
+        if args.subcommand is None:
             raise UsageError("a subcommand is required")
         if args.save_config:
             stripped = []

@@ -39,7 +39,7 @@ from .rotation import PathBuf, closure, double_rotation_targets, extend, rotate 
 TAU = 2  # tau-sequence length; even, since sigma0 is halved between the sides
 A_CAP = 12  # first-stage endpoints a that get a second-stage family
 A_FRACTION = 0.5  # share of the ranked first endpoints kept as anchor candidates
-ANCHOR_CAP = 8  # anchors tried per side in the closing-edge search
+ANCHOR_CAP = 8  # b-anchors tried per a-anchor in the closing-edge search
 PIVOT_CAP = 6  # good interior pivots kept per model
 CLOSURE_BUDGET = 4000  # state budget of each pivot audit and model closure
 PROOF_ATTEMPTS = 2  # restarts on which auto mode tries the pipeline first
@@ -251,22 +251,15 @@ def build_contracted(dec, half, g, side, protected_segment=None):
     return ContractedModel(spanned, labels, side, frozen=l < 3)
 
 
-def _w_block(model, phat):
-    """Connector hidden behind the helper vertex w, walking away from v_l."""
-    far = model.labels[-1]
-    p = phat.pos[far]
-    if model.side == 1:
-        return tuple(reversed(phat.vertices[:p]))  # toward the a-anchor
-    return tuple(phat.vertices[p + 1 :])  # toward the b-anchor
-
-
 def lift_model_path(model_seq, model, phat):
     """Expand a spanning path of the augmented model back to a real path:
     each model vertex becomes its label, and the helper vertex w the
-    connector behind it."""
+    connector behind it, which walks away from v_l on the pair path (toward
+    the a-anchor on side 1, the b-anchor on side 2)."""
     labels = model.labels
     l = len(labels)  # the id of w
-    block = _w_block(model, phat)
+    p = phat.pos[labels[-1]]
+    block = tuple(reversed(phat.vertices[:p])) if model.side == 1 else phat.vertices[p + 1 :]
     out = [labels[model_seq[0]]]
     for mu, mv in zip(model_seq, model_seq[1:]):
         if mv != l:
@@ -471,7 +464,8 @@ def _search_closing_edge(g, model1, model2, good1, good2, a_hat_pool, pairs, sta
     def side_options(model, goods, anchor, cache):
         # real endpoint -> model path, over the good pivots adjacent to the anchor
         if model.frozen:
-            return {anchor: None}  # endpoint set degenerates to the anchor
+            # the endpoint set degenerates to the anchor, reached through w
+            return {anchor: tuple(range(len(model.labels) + 1))}
         out = {}
         for pm in goods:
             real_pivot = model.labels[pm]
@@ -492,7 +486,7 @@ def _search_closing_edge(g, model1, model2, good1, good2, a_hat_pool, pairs, sta
                 out.setdefault(model.labels[ep], seq)
         return out
 
-    for a_hat in a_hat_pool[:ANCHOR_CAP]:
+    for a_hat in a_hat_pool:
         v1 = side_options(model1, good1, a_hat, cache1)
         if not v1:
             continue
@@ -508,17 +502,8 @@ def _search_closing_edge(g, model1, model2, good1, good2, a_hat_pool, pairs, sta
 
 
 def _side_real_path(model, model_seq, z_real, phat, boundary):
-    """Materialize one side: the lifted model path, or the frozen prefix."""
-    if model_seq is None:
-        # frozen side: the untouched stretch from the boundary to the anchor
-        p = phat.pos[boundary]
-        if model.side == 1:
-            seq = tuple(reversed(phat.vertices[: p + 1]))
-        else:
-            seq = tuple(phat.vertices[p:])
-        if seq[-1] != z_real:
-            raise SoundnessError("frozen side does not end at its anchor")
-        return list(seq)
+    """Materialize one side by lifting its model path; a frozen side's spine
+    and w lift to the untouched stretch from the boundary to the anchor."""
     lifted = lift_model_path(model_seq, model, phat)
     if not (lifted[0] == boundary and lifted[-1] == z_real):
         raise SoundnessError("lifted side has the wrong endpoints")

@@ -3,10 +3,10 @@
 Exact checks enumerate candidate sets inside a work budget (default 1e8 subset
 inspections, overridable via the HAMLAB_WORK_BUDGET environment variable).
 Sampled mode only ever refutes: it reports `fails` with a witness or
-`indeterminate`, never `holds`.  The enumerations count neighbourhoods with
-adjacency bitmasks (`graph.adjacency_masks`); every `fails` witness is then
-re-validated against the raw definition (`neighborhood`, `has_edge`) before it
-is returned.
+`indeterminate`, never `holds`.  The P1/P2 checks walk their candidate sets
+with one walker, counting neighbourhoods with adjacency bitmasks
+(`graph.adjacency_masks`); every `fails` witness is then re-validated against
+the raw definition (`neighborhood`, `has_edge`) before it is returned.
 """
 
 from __future__ import annotations
@@ -177,20 +177,45 @@ def condition_thresholds(n, d, variant="P1P2"):
 # Expansion (P1-style) and joined (P2-style) checks
 
 
-def _subset_count(n, max_size):
-    total = 0
-    for a in range(1, max_size + 1):
-        total += math.comb(n, a)
-        if total > 10**18:
-            break
-    return total
+def _draws(items, size, mode, budget, samples, stream, what):
+    """The candidate sets of one walk over `items`.
+
+    `size` is a set size, or a range of them.  Exact mode yields every subset
+    of those sizes, by size and then lexicographically, after checking their
+    number against the work budget (`what` names the check in the error).
+    Sampled mode yields `samples` draws from the generator seeded with
+    `stream`; for a range it first draws each size with `randint`.
+    """
+    sizes = size if isinstance(size, range) else (size,)
+    if mode == "exact":
+        cap = work_budget(budget)
+        totals = itertools.accumulate(math.comb(len(items), a) for a in sizes)
+        if any(total > cap for total in totals):
+            raise WorkBudgetExceeded(f"exact {what} check needs > {cap} subset inspections")
+        return itertools.chain.from_iterable(
+            itertools.combinations(items, a) for a in sizes
+        )
+    if mode == "sampled":
+        rng = random.Random(stream)
+        draws = range(samples if sizes else 0)  # no draws from an empty size range
+        if isinstance(size, range):
+            return (rng.sample(items, rng.randint(size[0], size[-1])) for _ in draws)
+        return (rng.sample(items, size) for _ in draws)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
-def _subsets(items, max_size):
-    """Subsets of 1..max_size members: by size, then lexicographically."""
-    return itertools.chain.from_iterable(
-        itertools.combinations(items, a) for a in range(1, max_size + 1)
-    )
+def _first_short(g, draws, bound):
+    """The first drawn set S with |N(S)| < bound(|S|), its 1-based index and
+    its neighbourhood bitmask; (None, number of draws, None) when none is."""
+    masks = adjacency_masks(g)
+    limits = [bound(a) for a in range(g.n + 1)]
+    work = 0
+    for combo in draws:
+        work += 1
+        nb = neighborhood_mask(masks, combo)
+        if nb.bit_count() < limits[len(combo)]:
+            return combo, work, nb
+    return None, work, None
 
 
 def _nonexpanding(g, witness, bound, what):
@@ -217,30 +242,15 @@ def check_expansion(g, s, d, mode="exact", budget=None, samples=2000, seed=0):
     """
     if not 1 <= s <= g.n:
         raise ValueError("need 1 <= s <= n")
-    vertices = list(range(g.n))
-    work = 0
     params = {"s": s, "d": d}
-    if mode == "exact":
-        cap = work_budget(budget)
-        if _subset_count(g.n, s) > cap:
-            raise WorkBudgetExceeded(
-                f"exact expansion check needs > {cap} subset inspections"
-            )
-        combos = _subsets(vertices, s)
-    elif mode == "sampled":
-        rng = random.Random(f"expansion:{seed}")
-        combos = (rng.sample(vertices, rng.randint(1, s)) for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    masks = adjacency_masks(g)
-    for combo in combos:
-        work += 1
-        if neighborhood_mask(masks, combo).bit_count() < d * len(combo):
-            witness = sorted(combo)
-            _nonexpanding(g, witness, d * len(witness), "expansion")
-            return ConditionReport(
-                "expansion", FAILS, {"S": witness}, params, work, mode
-            )
+    draws = _draws(
+        range(g.n), range(1, s + 1), mode, budget, samples, f"expansion:{seed}", "expansion"
+    )
+    combo, work, _ = _first_short(g, draws, lambda a: d * a)
+    if combo is not None:
+        witness = sorted(combo)
+        _nonexpanding(g, witness, d * len(witness), "expansion")
+        return ConditionReport("expansion", FAILS, {"S": witness}, params, work, mode)
     verdict = HOLDS if mode == "exact" else INDETERMINATE
     return ConditionReport("expansion", verdict, None, params, work, mode)
 
@@ -254,34 +264,16 @@ def check_joined(g, s, mode="exact", budget=None, samples=2000, seed=0):
     if s < 1:
         raise ValueError("need s >= 1")
     params = {"s": s}
-    work = 0
     if s > g.n:
-        return ConditionReport("joined", HOLDS, None, params, work, mode)
-    vertices = list(range(g.n))
-    if mode == "exact":
-        cap = work_budget(budget)
-        if math.comb(g.n, s) > cap:
-            raise WorkBudgetExceeded(
-                f"exact joined check needs > {cap} subset inspections"
-            )
-        combos = itertools.combinations(vertices, s)
-    elif mode == "sampled":
-        rng = random.Random(f"joined:{seed}")
-        combos = (rng.sample(vertices, s) for _ in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    masks = adjacency_masks(g)
-    for combo in combos:
-        work += 1
-        nb = neighborhood_mask(masks, combo)
-        if g.n - s - nb.bit_count() >= s:
-            a = sorted(combo)
-            b = [v for v in range(g.n) if v not in a and not nb >> v & 1][:s]
-            if len(b) < s or any(g.has_edge(u, v) for u in a for v in b):
-                raise SoundnessError(f"joined witness {a}, {b} is joined")
-            return ConditionReport(
-                "joined", FAILS, {"A": a, "B": b}, params, work, mode
-            )
+        return ConditionReport("joined", HOLDS, None, params, 0, mode)
+    draws = _draws(range(g.n), s, mode, budget, samples, f"joined:{seed}", "joined")
+    combo, work, nb = _first_short(g, draws, lambda a: g.n - 2 * a + 1)
+    if combo is not None:
+        a = sorted(combo)
+        b = [v for v in range(g.n) if v not in a and not nb >> v & 1][:s]
+        if len(b) < s or any(g.has_edge(u, v) for u in a for v in b):
+            raise SoundnessError(f"joined witness {a}, {b} is joined")
+        return ConditionReport("joined", FAILS, {"A": a, "B": b}, params, work, mode)
     verdict = HOLDS if mode == "exact" else INDETERMINATE
     return ConditionReport("joined", verdict, None, params, work, mode)
 
@@ -498,19 +490,17 @@ def fconn_implies_conditions(
         s_big = 1
     params["s_small"] = s_small
     params["s_big"] = s_big
-    work = premise.work
-    cap = work_budget(budget)
-    if _subset_count(g.n, s_small) > cap:
-        raise WorkBudgetExceeded("implication (i) enumeration over budget")
-    masks = adjacency_masks(g)
-    for combo in _subsets(range(g.n), s_small):
-        work += 1
-        a = len(combo)
-        # |N(A)| < d|A| and |A| <= n - |A| - |N(A)|
-        bound = min(d * a, g.n - 2 * a + 1)
-        if neighborhood_mask(masks, combo).bit_count() >= bound:
-            continue
-        _nonexpanding(g, combo, bound, "implication (i)")
+
+    def bound(a):  # |N(A)| < d|A| and |A| <= n - |A| - |N(A)|
+        return min(d * a, g.n - 2 * a + 1)
+
+    draws = _draws(
+        range(g.n), range(1, s_small + 1), "exact", budget, 0, "", "implication (i)"
+    )
+    combo, work, _ = _first_short(g, draws, bound)
+    work += premise.work
+    if combo is not None:
+        _nonexpanding(g, combo, bound(len(combo)), "implication (i)")
         return ConditionReport(
             "fconn-implications",
             FAILS,
@@ -554,6 +544,10 @@ def check_gnp_properties(
 
     (1) min degree >= 2; (2) small vertices pairwise far apart; (3) sets
     avoiding small vertices expand by 3d; (4) few vertices of degree <= 11.
+    A failing (1) names the lowest-id vertex of minimum degree and its degree.
+    (3) walks the sets of up to `s_small` non-small vertices in `mode`, and
+    samples them when an exact walk would exceed the work budget; params
+    `mode3` names the walk that ran.  An unknown mode raises ValueError.
     """
     if d is None:
         d = math.log(g.n) ** 0.1 if g.n >= 2 else 1.0
@@ -565,7 +559,8 @@ def check_gnp_properties(
 
     sub["min_degree"] = HOLDS if g.min_degree() >= 2 else FAILS
     if sub["min_degree"] == FAILS:
-        witness = {"property": "min_degree", "vertex": g.min_degree()}
+        v = min(range(g.n), key=g.degree)
+        witness = {"property": "min_degree", "vertex": v, "degree": g.degree(v)}
 
     sub["small_distance"] = HOLDS
     ordered = sorted(small)
@@ -589,31 +584,22 @@ def check_gnp_properties(
         s_small = max(1, int(g.n ** 0.5) // 4) if g.n >= 4 else 1
     params["s_small"] = s_small
     big = sorted(set(range(g.n)) - small)
-    sub["weak_expansion"] = HOLDS
-    cap = work_budget(budget)
-    if mode == "exact" and _subset_count(len(big), s_small) > cap:
+    sizes = range(1, min(s_small, len(big)) + 1)
+    stream = f"gnp-props:{seed}"
+    try:
+        draws = _draws(big, sizes, mode, budget, 2000, stream, "weak expansion")
+    except WorkBudgetExceeded:
         mode = "sampled"
-    if mode == "exact":
-        combos = _subsets(big, s_small)
+        draws = _draws(big, sizes, mode, budget, 2000, stream, "weak expansion")
+    combo, walked, _ = _first_short(g, draws, lambda a: 3 * d * a)
+    work += walked
+    if combo is None:
+        sub["weak_expansion"] = HOLDS if mode == "exact" else INDETERMINATE
     else:
-        rng = random.Random(f"gnp-props:{seed}")
-        combos = (
-            tuple(rng.sample(big, rng.randint(1, min(s_small, len(big)))))
-            for _ in range(2000)
-            if big
-        )
-    masks = adjacency_masks(g)
-    for combo in combos:
-        work += 1
-        if neighborhood_mask(masks, combo).bit_count() < 3 * d * len(combo):
-            _nonexpanding(g, combo, 3 * d * len(combo), "weak expansion")
-            sub["weak_expansion"] = FAILS
-            if witness is None:
-                witness = {"property": "weak_expansion", "A": list(combo)}
-            break
-    else:
-        if mode == "sampled":
-            sub["weak_expansion"] = INDETERMINATE
+        _nonexpanding(g, combo, 3 * d * len(combo), "weak expansion")
+        sub["weak_expansion"] = FAILS
+        if witness is None:
+            witness = {"property": "weak_expansion", "A": list(combo)}
     params["mode3"] = mode
 
     low = sum(1 for v in range(g.n) if g.degree(v) <= 11)

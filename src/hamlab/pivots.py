@@ -65,19 +65,15 @@ def augment(h, pivot_index):
     return AugmentedPathGraph(h, pivot_index, w, added, rotated.vertices, graph)
 
 
-def pivot_endpoint_set(h, pivot_index, budget=200000):
-    """Exhaustive endpoint set of the pivot's augmented graph.
+def pivot_endpoint_set(h, pivot_index, budget=200000, stop_at=None):
+    """Endpoint set of the pivot's augmented graph, exhaustive unless
+    `stop_at` ends the closure early (as `classify_pivots` does).
 
     Breadth-first closure over spanning paths of H+ reachable from the rotated
     start by rotations with the spine's first vertex fixed, collecting the
-    endpoints that are real path vertices (w and the fixed vertex excluded).
-    Early termination at `stop_at` endpoints is available via classify_pivots.
+    endpoints that are real path vertices: the fixed first vertex is never a
+    rotation endpoint, so only w is excluded.
     """
-    return _pivot_closure(h, pivot_index, budget)
-
-
-def _pivot_closure(h, pivot_index, budget, stop_at=None):
-    # the fixed first vertex is never a rotation endpoint, so only w is excluded
     aug = augment(h, pivot_index)
     return closure(
         aug.graph,
@@ -124,7 +120,7 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
     exact = True
     for idx in range(1, l - 1):
         v = h.spine[idx]
-        res = _pivot_closure(h, idx, budget, stop_at)
+        res = pivot_endpoint_set(h, idx, budget, stop_at)
         sizes[v] = len(res.endpoints)
         if not res.complete:
             exact = False

@@ -342,29 +342,26 @@ def endpoint_family(
     path,
     d=9.0,
     total_target=None,
-    layer_cap=None,
-    max_layers=None,
     surplus=2.0,
     protected_edge=None,
-    exclude=None,
     stats=None,
     over=None,
 ):
     """Build the layered endpoint family of a maximal path (fixed first vertex).
 
     Layer t is grown from every member of the previous layer and targets
-    ceil((d/3)^t) endpoints (optionally capped by `layer_cap`); up to
-    `surplus` times the target is retained (None keeps everything).  Pivots
-    are processed in ascending base-path position; an endpoint already used,
-    already placed, excluded or fixed is skipped.  Each layer is sorted by
-    endpoint and trimmed to its keep size, so trimming keeps the lowest
-    vertex ids.  The construction stops when the family holds `total_target`
-    endpoints (default ceil(n/3)), a layer comes up empty, or `max_layers` is
-    hit.  The runs of each placed endpoint's path go to `fam.runs`, and a
-    source's runs are rotated directly: a candidate pivot is a neighbor of its
-    source, the last vertex of the source's path, so every rotation is valid.
-    The runs are held over `path`, or with `over` = (other, runs) over that
-    other path, starting from `runs`, the runs of `path` over it.
+    ceil((d/3)^t) endpoints; up to `surplus` times the target is retained
+    (None keeps everything).  Pivots are processed in ascending base-path
+    position; an endpoint already used, already placed or fixed is skipped,
+    and so is a rotation that would break `protected_edge`.  Each layer is
+    sorted by endpoint and trimmed to its keep size, so trimming keeps the
+    lowest vertex ids.  The construction stops when the family holds
+    `total_target` endpoints (default ceil(n/3)) or a layer comes up empty.
+    The runs of each placed endpoint's path go to `fam.runs`, and a source's
+    runs are rotated directly: a candidate pivot is a neighbor of its source,
+    the last vertex of the source's path, so every rotation is valid.  The
+    runs are held over `path`, or with `over` = (other, runs) over that other
+    path, starting from `runs`, the runs of `path` over it.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
@@ -379,20 +376,13 @@ def endpoint_family(
     fam.chains[terminal] = None
     fam.runs[terminal] = start
     used = {terminal}
-    if exclude:
-        used |= set(exclude)
     t = 0
     while True:
         if len(fam.chains) >= total_target:
             fam.stopped = "target_met"
             break
-        if max_layers is not None and t >= max_layers:
-            fam.stopped = "max_layers"
-            break
         t += 1
         target = math.ceil((d / 3.0) ** t)
-        if layer_cap is not None:
-            target = min(target, layer_cap)
         keep = None if surplus is None else math.ceil(target * surplus)
         placed = {}  # endpoint -> (runs, step)
         for _, pivot, src in _pivot_candidates(g, path, fam.layers[-1], used):
@@ -531,12 +521,10 @@ def endpoint_closure_oracle(g, path, fixed=None, max_states=200000):
 
 @dataclass
 class DoubleRotationTargets:
-    """First-stage endpoint set A0, per a in A0 the second-stage sets, and
-    the runs over the base path of every pair path P(a, b)."""
+    """Per pair (a, b) of a first-stage endpoint a and an endpoint b of its
+    second-stage family, the runs of P(a, b) over the base path."""
 
     base: Path
-    a0: list
-    bmap: dict
     pair_runs: dict  # (a, b) -> runs of P(a, b), oriented a -> b
     pair_rotations: dict  # (a, b) -> rotation count
     families_built: int = 0
@@ -578,17 +566,13 @@ def double_rotation_targets(
         )
 
     fam1 = family(path)
-    a0 = sorted(fam1.endpoints())
-    chosen = a0 if a_cap is None else a0[:a_cap]
-    out = DoubleRotationTargets(path, a0, {}, {}, {}, families_built=1)
-    for a in chosen:
+    out = DoubleRotationTargets(path, {}, {}, families_built=1)
+    for a in sorted(fam1.endpoints())[:a_cap]:
         runs_a = rotated_runs(fam1.runs[a], -1)  # a first
         rot_a = fam1.rotations_to(a)
         fam2 = family(runs_path(path, runs_a), over=(path, runs_a))
         out.families_built += 1
-        bset = sorted(fam2.endpoints())
-        out.bmap[a] = bset
-        for b in bset:
+        for b in sorted(fam2.endpoints()):
             out.pair_runs[(a, b)] = fam2.runs[b]
             out.pair_rotations[(a, b)] = rot_a + fam2.rotations_to(b)
     return out

@@ -189,6 +189,57 @@ def test_saved_config_replays_identically(tmp_path, capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_malformed_config_is_a_usage_error(tmp_path, capsys):
+    payloads = [
+        [1, "gen"],  # not an object
+        {"schema": 1},  # no argv
+        {"schema": 1, "argv": "gen --family petersen"},  # argv not a list
+        {"schema": 1, "argv": []},  # no subcommand
+    ]
+    for i, payload in enumerate(payloads):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+
+
+def test_gnp_props_follows_mode(capsys):
+    graph = ["--family", "gnp", "--n", "30", "--p", "0.3", "--seed", "3"]
+    for mode in ("exact", "sampled"):
+        code, out = run(capsys, "check", "--gnp-props", "--mode", mode, *graph)
+        assert json.loads(out)["params"]["mode3"] == mode
+
+
+def test_sweep_starts_no_more_workers_than_points(capsys, monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    argv = ["sweep", "--n", "40", "--pmin", "0.2", "--pmax", "0.3", "--steps", "2",
+            "--trials", "2", "--seed", "1"]
+    outputs = []
+    for jobs in ("1", "8", "2"):
+        assert main(argv + ["--jobs", jobs]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert started == [2, 2]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_edge_list_file_round_trip(tmp_path, capsys):
     target = tmp_path / "g.edges"
     code = main(

@@ -402,6 +402,13 @@ def test_fconn_implications():
 # Small vertices and the sparse-random-graph properties
 
 
+def test_min_degree_witness_names_a_vertex_and_its_degree():
+    rep = check_gnp_properties(path_graph(5))
+    assert rep.witness == {"property": "min_degree", "vertex": 0, "degree": 1}
+    rep = check_gnp_properties(clique_plus_isolated(4, 2))
+    assert rep.witness == {"property": "min_degree", "vertex": 4, "degree": 0}
+
+
 def test_small_vertices():
     assert small_vertices(complete(5), 2) == set()
     star = complete_bipartite(1, 9)

@@ -8,7 +8,9 @@ reversal; the segment-record and sigma0 values were recorded from the
 record stage that rebuilt every record from the whole pair path and counted
 every tau-sequence of every record; the one-segment model values were
 recorded from the model builder that still linked the runs of multi-segment
-halves by contracted connectors.  Any refactor of the engine must
+halves by contracted connectors; the `capped`, `keep_all` and `guarded` family
+values were recorded from the family builder that still took a layer cap, a
+layer limit and a set of excluded endpoints.  Any refactor of the engine must
 reproduce them exactly.  Large structures (chains, witness paths, records)
 are pinned by a digest of their canonical JSON.
 """
@@ -72,13 +74,9 @@ def _family_cases(g, p):
     mid = len(p) // 2
     return {
         "default": {},
-        "capped": {"d": 6.0, "layer_cap": 3, "surplus": 1.0, "total_target": g.n},
-        "keep_all": {"d": 4.0, "surplus": None, "max_layers": 3, "total_target": g.n},
-        "guarded": {
-            "protected_edge": edge_key(p[mid], p[mid + 1]),
-            "exclude": [p[3], p[5]],
-            "total_target": g.n,
-        },
+        "capped": {"d": 6.0, "surplus": 1.0, "total_target": g.n},
+        "keep_all": {"d": 4.0, "surplus": None, "total_target": g.n},
+        "guarded": {"protected_edge": edge_key(p[mid], p[mid + 1]), "total_target": g.n},
     }
 
 
@@ -94,14 +92,14 @@ def observe_endpoint_family():
     return out
 
 
-EXPECTED_ENDPOINT_FAMILY = {'capped': {'broken': '55f272f0848bf100',
-            'chains': '2afbd203160a220d',
-            'layers': [[33], [5, 10], [9, 27, 28], [3, 4, 7], [2, 12, 13], [17, 30, 34],
-                       [20]],
-            'paths': '8af949654381476f',
-            'rotations': 35,
-            'schedule': [1, 2, 3, 3, 3, 3, 3],
-            'stats_broken': '37455ee61a602d20',
+EXPECTED_ENDPOINT_FAMILY = {'capped': {'broken': '0eb6cb70c1e75a90',
+            'chains': 'f618cc241bfa1063',
+            'layers': [[33], [5, 10], [9, 27, 28, 29], [3, 4, 6, 7, 12, 15, 18, 23],
+                       [0, 17, 20, 26, 30, 34]],
+            'paths': 'ab7b1b935b1fcf24',
+            'rotations': 30,
+            'schedule': [1, 2, 4, 8, 16],
+            'stats_broken': '87473d037f6f5886',
             'stopped': 'empty_layer'},
  'default': {'broken': '637b2ad2543262b5',
              'chains': '403c20d71965b5fc',
@@ -113,14 +111,15 @@ EXPECTED_ENDPOINT_FAMILY = {'capped': {'broken': '55f272f0848bf100',
              'schedule': [1, 3, 9],
              'stats_broken': 'e2d055ae8fb01608',
              'stopped': 'target_met'},
- 'guarded': {'broken': '366d3a374a4e95c1',
-             'chains': '2a449d6ed67323ed',
-             'layers': [[33], [5, 13, 16, 17, 18, 27],
-                        [0, 4, 7, 9, 15, 20, 23, 26, 28, 29, 30, 34, 38]],
-             'paths': '955fde61cd2733fc',
-             'rotations': 19,
+ 'guarded': {'broken': '4004954487df9116',
+             'chains': 'dfaee591346616e4',
+             'layers': [[33], [5, 10, 13, 16, 17, 18],
+                        [0, 1, 4, 6, 7, 9, 15, 19, 20, 22, 23, 26, 27, 28, 29, 30, 34,
+                         38]],
+             'paths': 'e35fe49d0665be18',
+             'rotations': 25,
              'schedule': [1, 3, 9],
-             'stats_broken': '366d3a374a4e95c1',
+             'stats_broken': '4004954487df9116',
              'stopped': 'empty_layer'},
  'keep_all': {'broken': 'a6eed6a5dd2162d5',
               'chains': '23ead054c410cdc8',
