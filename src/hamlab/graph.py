@@ -216,12 +216,9 @@ def validate_path(g, vertices, endpoints=None):
         return Verdict(False, "empty")
     if len(set(seq)) != len(seq):
         return Verdict(False, "repeated vertex")
-    for v in seq:
-        if not (0 <= v < g.n):
-            return Verdict(False, f"vertex {v} out of range")
-    for a, b in zip(seq, seq[1:]):
-        if not g.has_edge(a, b):
-            return Verdict(False, f"missing edge ({a}, {b})")
+    fault = _walk_fault(g, seq, seq[1:])
+    if fault is not None:
+        return fault
     if endpoints is not None and {seq[0], seq[-1]} != set(endpoints):
         return Verdict(False, "wrong endpoints")
     return Verdict(True)
@@ -234,15 +231,30 @@ def validate_cycle(g, vertices, hamilton=False):
         return Verdict(False, "fewer than 3 vertices")
     if len(set(seq)) != len(seq):
         return Verdict(False, "repeated vertex")
-    for v in seq:
-        if not (0 <= v < g.n):
-            return Verdict(False, f"vertex {v} out of range")
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        if not g.has_edge(a, b):
-            return Verdict(False, f"missing edge ({a}, {b})")
+    fault = _walk_fault(g, seq, seq[1:] + seq[:1])
+    if fault is not None:
+        return fault
     if hamilton and len(seq) != g.n:
         return Verdict(False, f"length {len(seq)} != {g.n}")
     return Verdict(True)
+
+
+def _walk_fault(g, seq, nxt):
+    """The failed Verdict for the first vertex of `seq` out of range, else for
+    the first pair of zip(seq, nxt) that is not an edge; None when there is
+    neither.  One min/max and one membership pass decide; the loops that
+    name the fault run only on a failure."""
+    if 0 <= min(seq) and max(seq) < g.n:
+        adj = g._adj
+        if all([b in adj[a] for a, b in zip(seq, nxt)]):
+            return None
+    for v in seq:
+        if not (0 <= v < g.n):
+            return Verdict(False, f"vertex {v} out of range")
+    for a, b in zip(seq, nxt):
+        if not g.has_edge(a, b):
+            return Verdict(False, f"missing edge ({a}, {b})")
+    return None
 
 
 def neighborhood(g, s):

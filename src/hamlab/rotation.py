@@ -13,6 +13,14 @@ Runs: a rotated path is held as its runs over the base path, a tuple of the
 maximal stretches (a, b) of consecutive base positions a..b in path order; a
 stretch with a > b is walked downwards.  A rotation costs O(runs), and
 `runs_path` builds a `Path` only where a caller needs a whole path.
+
+`PathBuf` holds one path in a 4n-slot array with an orientation flag.  A
+Pósa rotation is a 2-opt move on the cycle the path forms with a virtual
+vertex joining its ends, so either arc may be reversed: `PathBuf.rotate`
+rewrites the shorter one, the tail in place or the head copied past the
+mobile end, at O(min(i + 1, q - 1 - i)) per rotation.  Head copies move the
+path along the array; `load` and a copy or push that would pass an end of
+the array write it back at the centre.
 """
 
 from __future__ import annotations
@@ -123,35 +131,59 @@ class PathBuf:
     """Mutable path over the vertices 0..n-1, for loops that rotate, extend
     and reverse one path many times.
 
-    Slots arr[lo:hi] hold the path and pos[v] is the slot of v, or -1 when v
-    is off the path.  The path read from arr[lo] up to arr[hi - 1] is the
-    logical path (fixed first vertex, mobile last vertex) unless `flip` is
-    set, in which case it is read downwards.  A rotation rewrites only the
-    slots after the pivot, a reversal only toggles `flip`, and an extension
-    writes one slot at either end.  A load starts the path at slot n; as it
-    never holds more than n vertices, neither end can run past the 2n slots.
+    Slots arr[lo:hi] of a 4n-slot list hold the path and pos[v] is the slot
+    of v, or -1 when v is off the path.  The path read from arr[lo] up to
+    arr[hi - 1] is the logical path (fixed first vertex, mobile last vertex)
+    unless `flip` is set, in which case it is read downwards.
+
+    A rotation at position i rewrites only the shorter of the two arcs it
+    separates, O(min(i + 1, q - 1 - i)) slots on a path of q vertices.  When
+    the tail after i is no longer than the head 0..i, the tail is reversed in
+    place.  Otherwise the head A is copied, reversed, past the mobile end and
+    `flip` toggles: the slots then hold [B][rev A], which read downwards is
+    A + rev B, the rotated path, and the window has moved i + 1 slots towards
+    the old mobile end.  A reversal only toggles `flip`, and an extension
+    writes one slot at either end.
+
+    `load` writes the path at the centre of the buffer.  A head copy or an
+    extension that would pass either end of the buffer first moves the
+    window back to the centre, where a path of at most n vertices has 1.5n
+    free slots on each side, more than one copy or push needs.  Whole-path
+    writes are slice copies plus one loop over `pos`.
     """
 
     __slots__ = ("arr", "pos", "lo", "hi", "flip")
 
     def __init__(self, n, vertices):
-        self.arr = [-1] * (2 * n)
+        self.arr = [-1] * (4 * n)
         self.pos = [-1] * n
-        self.lo = self.hi = n
+        self.lo = self.hi = 2 * n
         self.flip = False
         self.load(vertices)
 
     def load(self, vertices):
-        """Replace the held path by `vertices`, read from the fixed end."""
+        """Replace the held path by `vertices`, read from the fixed end.  A
+        repeated or out-of-range vertex raises `ValueError` and leaves the
+        held path as it was."""
+        seq = list(vertices)
+        if len(set(seq)) != len(seq):
+            raise ValueError("path contains a repeated vertex")
         pos = self.pos
-        for v in self.arr[self.lo : self.hi]:
-            pos[v] = -1
-        self.lo = self.hi = len(pos)
+        if seq and (min(seq) < 0 or max(seq) >= len(pos)):
+            raise ValueError("path contains a vertex out of range")
+        pos[:] = [-1] * len(pos)
         self.flip = False
-        for v in vertices:
-            if pos[v] >= 0:
-                raise ValueError("path contains a repeated vertex")
-            self._push(v, True)
+        self._centre(seq)
+
+    def _centre(self, seq):
+        """Write `seq` upwards at the centre of the buffer as the window."""
+        arr = self.arr
+        lo = (len(arr) - len(seq)) // 2
+        self.lo, self.hi = lo, lo + len(seq)
+        arr[self.lo : self.hi] = seq
+        pos = self.pos
+        for k, v in enumerate(seq, lo):
+            pos[v] = k
 
     def __len__(self):
         return self.hi - self.lo
@@ -191,34 +223,57 @@ class PathBuf:
     def rotate(self, i):
         """Rotate at logical position i, 0 <= i <= q-3, whose vertex the
         caller has checked to be adjacent to the last vertex: the vertices
-        after position i are reversed.  Returns (broken edge, new endpoint).
+        after position i are reversed, by rewriting the shorter arc as the
+        class docstring says.  Returns (broken edge, new endpoint).
         """
         lo, hi = self.lo, self.hi
         if not 0 <= i <= hi - lo - 3:
             raise ValueError(f"pivot index {i} out of range for length {hi - lo}")
         arr = self.arr
-        if self.flip:
+        flip = self.flip
+        if flip:
             pivot = hi - 1 - i
-            a, b = lo, pivot
             new_end = arr[pivot - 1]
         else:
             pivot = lo + i
-            a, b = pivot + 1, hi
             new_end = arr[pivot + 1]
-        tail = arr[a:b]
-        tail.reverse()
-        arr[a:b] = tail
+        out = edge_key(arr[pivot], new_end), new_end
+        h = i + 1  # head arc 0..i; the tail holds the other q - h slots
+        if hi - lo - h <= h:
+            a, b = (lo, pivot) if flip else (pivot + 1, hi)
+            seg = arr[a:b]
+            seg.reverse()
+            arr[a:b] = seg
+        else:
+            if (lo if flip else len(arr) - hi) < h:  # no room past the mobile end
+                self._centre(arr[lo:hi])
+                lo, hi = self.lo, self.hi
+            if flip:
+                seg = arr[hi - h : hi]
+                a = lo - h
+                self.lo, self.hi = a, hi - h
+            else:
+                seg = arr[lo : lo + h]
+                a = hi
+                self.lo, self.hi = lo + h, hi + h
+            seg.reverse()
+            arr[a : a + h] = seg
+            self.flip = not flip
         pos = self.pos
-        for k, v in enumerate(tail, a):
+        for k, v in enumerate(seg, a):
             pos[v] = k
-        return edge_key(arr[pivot], new_end), new_end
+        return out
 
     def _push(self, v, high):
         if high:
+            if self.hi == len(self.arr):
+                self._centre(self.arr[self.lo : self.hi])
             self.arr[self.hi] = v
             self.pos[v] = self.hi
             self.hi += 1
         else:
+            if self.lo == 0:
+                self._centre(self.arr[self.lo : self.hi])
             self.lo -= 1
             self.arr[self.lo] = v
             self.pos[v] = self.lo

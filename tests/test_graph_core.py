@@ -8,6 +8,7 @@ from hamlab import (
     Graph,
     GraphFormatError,
     Path,
+    Verdict,
     clique_plus_isolated,
     complete,
     complete_bipartite,
@@ -271,3 +272,85 @@ def test_validate_cycle_examples():
     assert not v and "3" in v.reason
     assert not validate_cycle(cycle_graph(6), (0, 1, 2))  # chord missing
     assert not validate_cycle(c5, (0, 1))
+
+
+def reference_validate_path(g, vertices, endpoints=None):
+    """The per-vertex and per-edge loops `validate_path` ran before its
+    min/max and one-pass membership checks."""
+    seq = tuple(vertices)
+    if not seq:
+        return Verdict(False, "empty")
+    if len(set(seq)) != len(seq):
+        return Verdict(False, "repeated vertex")
+    for v in seq:
+        if not (0 <= v < g.n):
+            return Verdict(False, f"vertex {v} out of range")
+    for a, b in zip(seq, seq[1:]):
+        if not g.has_edge(a, b):
+            return Verdict(False, f"missing edge ({a}, {b})")
+    if endpoints is not None and {seq[0], seq[-1]} != set(endpoints):
+        return Verdict(False, "wrong endpoints")
+    return Verdict(True)
+
+
+def reference_validate_cycle(g, vertices, hamilton=False):
+    """The loops `validate_cycle` ran before, as above."""
+    seq = tuple(vertices)
+    if len(seq) < 3:
+        return Verdict(False, "fewer than 3 vertices")
+    if len(set(seq)) != len(seq):
+        return Verdict(False, "repeated vertex")
+    for v in seq:
+        if not (0 <= v < g.n):
+            return Verdict(False, f"vertex {v} out of range")
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        if not g.has_edge(a, b):
+            return Verdict(False, f"missing edge ({a}, {b})")
+    if hamilton and len(seq) != g.n:
+        return Verdict(False, f"length {len(seq)} != {g.n}")
+    return Verdict(True)
+
+
+def _validation_inputs(rng):
+    """Sequences over gnp(12, 0.5) and C_12: cycles and paths of the graph,
+    too short ones, repeats, out-of-range ids at several places and random
+    walks whose first missing edge falls anywhere."""
+    for g in (gnp(12, 0.5, seed=3), cycle_graph(12)):
+        ring = tuple(range(12))
+        yield g, ring
+        yield g, ring[:2]
+        yield g, ring[:1]
+        yield g, ()
+        yield g, (0, 1, 0)
+        for bad in (-1, 12, 40):
+            for at in (0, 5, 11):
+                yield g, ring[:at] + (bad,) + ring[at + 1 :]
+        yield g, (12, 3, 13)  # two out-of-range ids: the first is named
+        for _ in range(60):
+            seq = rng.sample(range(12), rng.randint(1, 12))
+            yield g, tuple(seq)
+            # a walk of g that is a path or a cycle up to its last step
+            walk = [rng.randrange(12)]
+            while len(walk) < 12:
+                options = [u for u in g.neighbors(walk[-1]) if u not in walk]
+                if not options:
+                    break
+                walk.append(rng.choice(options))
+            yield g, tuple(walk)
+
+
+def test_validation_matches_the_reference_loops():
+    rng = random.Random(5)
+    verdicts = set()
+    for g, seq in _validation_inputs(rng):
+        for hamilton in (False, True):
+            got = validate_cycle(g, seq, hamilton=hamilton)
+            assert got == reference_validate_cycle(g, seq, hamilton=hamilton), seq
+            verdicts.add(got.reason.split(" ")[0] if got.reason else "ok")
+        ends = (seq[0], seq[-1]) if seq else None
+        for endpoints in (None, ends, (0, 11)):
+            got = validate_path(g, seq, endpoints)
+            assert got == reference_validate_path(g, seq, endpoints), seq
+            verdicts.add(got.reason.split(" ")[0] if got.reason else "ok")
+    # every outcome was reached, so both the fast checks and the fallback ran
+    assert verdicts == {"ok", "empty", "fewer", "repeated", "vertex", "missing", "wrong", "length"}

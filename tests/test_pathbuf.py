@@ -5,10 +5,10 @@ the list-based extension loop and `Path.reversed` give."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamlab import Graph, Path, PathBuf, edge_key, extend, rotate
+from hamlab import Graph, Path, PathBuf, complete, edge_key, extend, rotate
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -121,3 +121,144 @@ def test_pathbuf_rejects_bad_input():
     for i in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
             buf.rotate(i)
+
+
+def test_rejected_load_leaves_the_held_path():
+    buf = PathBuf(5, (0, 1, 2, 3))
+    for bad in ((4, 1, 4), (4, 5), (-1, 4)):
+        with pytest.raises(ValueError):
+            buf.load(bad)
+        assert_same(buf, Path((0, 1, 2, 3)))
+    buf.rotate(0)  # a head copy moves the window before the next load
+    with pytest.raises(ValueError, match="repeated vertex"):
+        buf.load((2, 2))
+    assert_same(buf, Path((0, 3, 2, 1)))
+
+
+def rotate_both(g, buf, ref, i, seen):
+    """Rotate buf and the reference at i, check them equal and record which
+    arc the buffer rewrote, and a head copy that first recentred the path."""
+    lo, flip, q = buf.lo, buf.flip, len(buf)
+    new, step = rotate(g, ref, i)
+    assert buf.rotate(i) == (step.broken_edge, step.new_endpoint)
+    assert_same(buf, new)
+    if buf.flip == flip:
+        # the tail after i was no longer than the head and was reversed in place
+        assert q - 1 - i <= i + 1 and buf.lo == lo
+        seen.add(("tail", flip))
+    else:
+        assert q - 1 - i > i + 1
+        seen.add(("head", flip))
+        if buf.lo != (lo - (i + 1) if flip else lo + i + 1):
+            seen.add(("recentre", flip))
+    return new
+
+
+def follow(g, start, ops):
+    """Apply `ops` to a PathBuf and to the frozen-Path reference, checking
+    them equal after every step and the buffer's size.  Returns the layout
+    events the buffer went through: each rotation branch and each head copy
+    that recentred, with the orientation they started from, and a push at
+    either end of the buffer that found no room."""
+    buf = PathBuf(g.n, start)
+    ref = Path(start)
+    seen = set()
+    for kind, arg in ops:
+        if kind == "rotate":
+            pivots = [i for i in range(len(ref) - 2) if g.has_edge(ref.last, ref[i])]
+            if not pivots:
+                continue
+            i = pivots[arg % len(pivots)]
+            before = ref
+            ref = rotate_both(g, buf, ref, i, seen)
+            assert rotate_both(g, buf, ref, i, seen) == before
+            ref = rotate_both(g, buf, before, i, seen)
+        elif kind == "extend":
+            lo, hi, flip = buf.lo, buf.hi, buf.flip
+            rngs = [None] * 2 if arg % 4 == 0 else [random.Random(arg) for _ in range(2)]
+            new = reference_extend(g, ref, rngs[0])
+            buf.extend(g, rngs[1])
+            front = new.pos[ref.first]  # vertices pushed at the fixed end
+            back = len(new) - len(ref) - front  # and at the mobile end
+            top, bottom = (front, back) if flip else (back, front)
+            if hi + top > len(buf.arr):
+                seen.add(("push", "top"))
+            elif lo - bottom < 0:
+                seen.add(("push", "bottom"))
+            else:
+                assert (buf.lo, buf.hi) == (lo - bottom, hi + top)
+            ref = new
+        elif kind == "reverse":
+            buf.reverse()
+            ref = ref.reversed()
+        else:
+            # a prefix, in either direction: shorter paths leave room to extend
+            seq = ref.vertices[: 1 + arg % len(ref)]
+            ref = Path(seq[::-1] if arg & 1 else seq)
+            buf.load(ref.vertices)
+        assert_same(buf, ref)
+        assert len(buf.arr) == 4 * g.n
+    return seen
+
+
+LAYOUT_EVENTS = {
+    ("tail", False),
+    ("tail", True),
+    ("head", False),
+    ("head", True),
+    ("recentre", False),
+    ("recentre", True),
+    ("push", "top"),
+    ("push", "bottom"),
+}
+
+
+@st.composite
+def larger_graphs(draw):
+    """Connected graphs on up to 60 vertices: a random tree plus random edges."""
+    n = draw(st.integers(3, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = {edge_key(v, rng.randrange(v)) for v in range(1, n)}
+    for _ in range(n * draw(st.integers(0, 6))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add(edge_key(u, v))
+    return Graph(n, edges)
+
+
+# loads are rare, since each one moves the window back to the centre
+LONG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["rotate"] * 6 + ["extend"] * 2 + ["reverse"] * 3 + ["load"]),
+        st.integers(0, 2**16),
+    ),
+    min_size=100,
+    max_size=300,
+)
+
+
+# From (0,) on K_12: extend to the whole graph and load a 4-vertex prefix,
+# whose centred window has 22 free slots on each side.  Rotating at 0 copies
+# the one-vertex head and toggles `flip`, so rotating then reversing moves the
+# window one slot up (or down, from the other orientation).  The 23rd such
+# pair finds no room and recentres, and 17 more bring the window within reach
+# of an extension's 8 pushes.  Then the tail branch in both orientations, and
+# the same walk towards the bottom.
+DRIFT = [("rotate", 0), ("reverse", 0)] * 40 + [("extend", 0)]
+DRIFT_OPS = (
+    [("extend", 0), ("load", 3)]
+    + DRIFT
+    + [("rotate", 9), ("reverse", 0), ("rotate", 9), ("load", 3), ("reverse", 0)]
+    + DRIFT
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@example(complete(12), 0, DRIFT_OPS)
+@given(larger_graphs(), st.integers(0, 2**16), LONG_OPS)
+def test_pathbuf_layout_follows_the_frozen_reference(g, start, ops):
+    follow(g, (start % g.n,), ops)
+
+
+def test_drift_ops_reach_every_layout_event():
+    assert follow(complete(12), (0,), DRIFT_OPS) == LAYOUT_EVENTS
