@@ -6,10 +6,8 @@ scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-import time
 from array import array
 from dataclasses import dataclass, field
 
@@ -22,10 +20,8 @@ from .closing import (
 )
 from .conditions import (
     ConditionReport,
-    FConnSpec,
     WorkBudgetExceeded,
     fconn_implies_conditions,
-    work_budget,
 )
 from .graph import (
     Cycle,
@@ -34,8 +30,6 @@ from .graph import (
     adjacency_masks,
     edge_key,
     is_connected,
-    neighborhood,
-    neighborhood_mask,
     validate_cycle,
     validate_path,
 )
@@ -208,9 +202,7 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
     broken_log = set()
     for attempt in range(retries):
         res = find_hamilton_cycle(g_uv, mode=mode, budget=budget, seed=(seed, attempt))
-        stats["rotations"] += res.stats["rotations"]
-        stats["restarts"] += res.stats["restarts"]
-        stats["families_built"] += res.stats["families_built"]
+        _add_counts(stats, res.stats)
         if not res.found:
             continue
         cycle_seq = res.cycle.vertices
@@ -240,12 +232,9 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
 
 def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broken_log):
     rng = random.Random(f"protected:{seed}")
-    attempts = []
-    if mode in ("proof_faithful", "auto"):
-        attempts.append("proof_faithful")
-    if mode in ("heuristic", "auto"):
-        attempts.append("heuristic")
-    for kind in attempts:
+    for kind in ("proof_faithful", "heuristic"):
+        if mode not in (kind, "auto"):
+            continue
         local = new_stats()
         if kind == "proof_faithful":
             outcome = close_proof_faithful(
@@ -256,8 +245,7 @@ def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broke
                 g_uv, spanning, budget=budget, rng=rng,
                 protected_edge=protected, stats=local,
             )
-        stats["rotations"] += local["rotations"]
-        stats["families_built"] += local.get("families_built", 0)
+        _add_counts(stats, local)
         broken_log.update(local.get("broken_edges", set()))
         if isinstance(outcome, Cycle):
             cyc = outcome.vertices
@@ -266,6 +254,12 @@ def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broke
                 raise SoundnessError("protected edge missing from the closed cycle")
             return outcome
     return None
+
+
+def _add_counts(stats, other):
+    """Add the search counters of `other` into `stats`."""
+    for key in ("rotations", "restarts", "families_built"):
+        stats[key] += other[key]
 
 
 def _strip_protected(cycle_seq, u, v):
@@ -278,17 +272,16 @@ def _strip_protected(cycle_seq, u, v):
     return tuple(cycle_seq[k + 1 :] + cycle_seq[: k + 1])
 
 
-def hamilton_cycle_through_edge(g, e, mode="auto", budget=100000, seed=0):
+def hamilton_cycle_through_edge(g, e, budget=100000):
     """Hamilton cycle containing the edge e (which must be present in g)."""
     u, v = e
     _check_vertices(g, e)
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    res = hamilton_path_between(g, u, v, mode=mode, budget=budget, seed=seed)
+    res = hamilton_path_between(g, u, v, budget=budget)
     if not res.found:
         return None
-    seq = res.path.vertices
-    cycle = Cycle(seq)
+    cycle = Cycle(res.path.vertices)
     verdict = validate_cycle(g, cycle.vertices, hamilton=True)
     if not verdict:
         raise SoundnessError(f"cycle through the edge is invalid: {verdict.reason}")
@@ -303,83 +296,36 @@ def hamilton_cycle_through_edge(g, e, mode="auto", budget=100000, seed=0):
 class StripResult:
     removed: set
     survivors: set
-    trace: list  # (sorted A_i, neighborhood size)
+    trace: list  # ([v], neighbours of v left in the window)
     certified: bool
-    heuristic: bool
 
 
-def strip_nonexpanding(g, v0, size_bound, ratio, cap=None, budget=None):
-    """Iteratively remove sets A (|A| <= size_bound) whose neighborhood inside
-    the shrinking window is below ratio * |A|.
+def strip_nonexpanding(g, v0, cap):
+    """Peel from the window V0, lowest id first, a vertex with fewer than 2
+    neighbours left in the window, until no such vertex is left or `cap`
+    vertices are gone.
 
-    Exact subset search inside the work budget; a greedy min-degree-seeded
-    search takes over beyond it (flagged, and the result is then uncertified).
-    Halts when no violating set remains or the removed total reaches `cap`
-    (default: size_bound, mirroring the n/t stopping rule).
+    This is the stripping of non-expanding sets at set size 1 and ratio 2.
+    The result is certified when the cap did not bind, so that every
+    survivor keeps 2 neighbours among the survivors.
     """
     v0 = set(v0)
     _check_vertices(g, v0)
-    if cap is None:
-        cap = size_bound
+    masks = adjacency_masks(g)
+    inside = sum(1 << v for v in v0)
     removed = set()
     trace = []
-    heuristic = False
-    cap_work = work_budget(budget)
-
-    masks = adjacency_masks(g)
-
-    def violating_set(window):
-        nonlocal heuristic
-        wlist = sorted(window)
-        inside = sum(1 << v for v in wlist)
-        total = 0
-        for a in range(1, size_bound + 1):
-            total += math.comb(len(wlist), a)
-            if total > cap_work:
-                heuristic = True
-                return _greedy_violator(*g.induced(wlist), size_bound, ratio)
-            for combo in itertools.combinations(wlist, a):
-                nb = (neighborhood_mask(masks, combo) & inside).bit_count()
-                if nb < ratio * a:
-                    if len(neighborhood(g, combo) & window) != nb:
-                        raise SoundnessError(f"stripped set {combo} miscounted")
-                    return list(combo), nb
-        return None
-
     while len(removed) < cap:
-        window = v0 - removed
-        if not window:
-            break
-        found = violating_set(window)
-        if found is None:
-            break
-        a_set, nb = found
-        removed |= set(a_set)
-        trace.append((sorted(a_set), nb))
-    certified = not heuristic and len(removed) < cap
-    return StripResult(removed, v0 - removed, trace, certified, heuristic)
-
-
-def _greedy_violator(sub, labels, size_bound, ratio):
-    order = sorted(range(sub.n), key=lambda v: (sub.degree(v), v))
-    for seed_v in order[: min(len(order), 20)]:
-        current = {seed_v}
-        while True:
-            nb = neighborhood(sub, current)
-            if len(nb) < ratio * len(current):
-                return [labels[i] for i in sorted(current)], len(nb)
-            if len(current) >= size_bound:
+        for v in sorted(v0 - removed):
+            nb = (masks[v] & inside).bit_count()
+            if nb < 2:
+                removed.add(v)
+                inside ^= 1 << v
+                trace.append(([v], nb))
                 break
-            # grow toward the smallest resulting neighborhood
-            best, best_nb = None, None
-            for cand in sorted(nb):
-                trial = len(neighborhood(sub, current | {cand}))
-                if best_nb is None or trial < best_nb:
-                    best, best_nb = cand, trial
-            if best is None:
-                break
-            current.add(best)
-    return None
+        else:
+            break
+    return StripResult(removed, v0 - removed, trace, len(removed) < cap)
 
 
 @dataclass
@@ -403,9 +349,10 @@ def cycle_of_length_k(
     budget=30000,
 ):
     """Find a cycle of exactly k vertices: choose a window V0 of size k + n/t,
-    strip from it, one at a time, the vertices with fewer than 2 neighbours
-    left in it, then repeatedly sample k-subsets of the survivors and search
-    the induced subgraph for a Hamilton cycle with the heuristic search.
+    strip from it, one at a time and lowest id first, at most |V0| - k
+    vertices with fewer than 2 neighbours left in it (`strip_nonexpanding`),
+    then repeatedly sample k-subsets of the survivors and search the induced
+    subgraph for a Hamilton cycle with the heuristic search.
 
     V0 takes the lowest identifiers by default and is sampled uniformly when a
     seed is given.  Each retry draws a fresh subset.
@@ -419,7 +366,7 @@ def cycle_of_length_k(
         v0 = set(range(window))
     else:
         v0 = set(rng.sample(range(n), window))
-    strip = strip_nonexpanding(g, v0, size_bound=1, ratio=2.0, cap=max(1, window - k))
+    strip = strip_nonexpanding(g, v0, max(1, window - k))
     survivors = sorted(strip.survivors)
     stats = new_stats()
     if len(survivors) < k:
@@ -430,9 +377,7 @@ def cycle_of_length_k(
         res = find_hamilton_cycle(
             sub, mode="heuristic", budget=budget, seed=(seed, attempt)
         )
-        stats["rotations"] += res.stats["rotations"]
-        stats["restarts"] += res.stats["restarts"]
-        stats["families_built"] += res.stats["families_built"]
+        _add_counts(stats, res.stats)
         if res.found:
             real = [labels[v] for v in res.cycle.vertices]
             cycle = Cycle(real)
@@ -462,24 +407,17 @@ class FConnPipelineResult:
         return {"report": self.report.to_json(), "search": self.search.to_json()}
 
 
-def fconnected_pipeline(
-    g, f=None, mode="auto", budget=100000, seed=0, max_n=18,
-    s_small=None, s_big=None,
-):
+def fconnected_pipeline(g, f, budget=100000, seed=0, s_small=None, s_big=1):
     """Check the f-connectivity implications, then search for a Hamilton cycle
     regardless; both outcomes are reported together.  The implication size
     thresholds pass through so larger instances stay enumerable."""
-    if f is None:
-        f = FConnSpec.klogk()
     try:
-        report = fconn_implies_conditions(
-            g, f, max_n=max_n, s_small=s_small, s_big=s_big
-        )
+        report = fconn_implies_conditions(g, f, s_small=s_small, s_big=s_big)
     except WorkBudgetExceeded:
         report = ConditionReport(
             "fconn-implications", "indeterminate", None, {"f": f.name}, 0, "skipped"
         )
-    search = find_hamilton_cycle(g, mode=mode, budget=budget, seed=seed)
+    search = find_hamilton_cycle(g, budget=budget, seed=seed)
     return FConnPipelineResult(report, search)
 
 
@@ -495,7 +433,6 @@ class TrialRecord:
     p: float
     success: bool
     rotations: int
-    ms: float
 
 
 @dataclass
@@ -527,10 +464,8 @@ def gnp_trials(n, p, trials, seed=0, budget=60000, mode="heuristic", label="swee
     for i in range(trials):
         trial_seed = f"{label}:{seed}:{i}"
         g = gnp(n, p, seed=trial_seed)
-        t0 = time.perf_counter()
         res = find_hamilton_cycle(g, mode=mode, budget=budget, seed=trial_seed)
-        ms = (time.perf_counter() - t0) * 1000.0
         stats.trials.append(
-            TrialRecord(i, trial_seed, n, p, res.found, res.stats["rotations"], ms)
+            TrialRecord(i, trial_seed, n, p, res.found, res.stats["rotations"])
         )
     return stats

@@ -321,7 +321,8 @@ def _stats_json(stats):
 
 
 def absorb(g, cycle_seq, protected_edge=None):
-    """Reopen a non-spanning cycle at a vertex with an outside neighbor."""
+    """Reopen a non-spanning cycle at a vertex with an outside neighbor: the
+    vertex tuple of the longer path, or None when no vertex has one."""
     members = set(cycle_seq)
     m = len(cycle_seq)
     for idx, v in enumerate(cycle_seq):
@@ -331,8 +332,7 @@ def absorb(g, cycle_seq, protected_edge=None):
                 continue
         for u in sorted(g.neighbors(v)):
             if u not in members:
-                reopened = cycle_seq[idx + 1 :] + cycle_seq[: idx + 1]
-                return Path(reopened + (u,))
+                return cycle_seq[idx + 1 :] + cycle_seq[: idx + 1] + (u,)
     return None
 
 
@@ -363,7 +363,7 @@ def close_proof_faithful(g, p0, protected_edge=None, stats=None):
         reopened = absorb(g, cycle_seq, protected_edge)
         if reopened is None:
             return CloseFailure("absorption", "no outside neighbor", stats)
-        path = extend(g, reopened)
+        path = extend(g, Path(reopened))
 
 
 def _pipeline_once(g, path, protected_edge, stats):
@@ -543,7 +543,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
             reopened = absorb(g, cycle_seq, protected_edge)
             if reopened is None:
                 return CloseFailure("absorption", "component exhausted", stats)
-            buf.load(reopened.vertices)
+            buf.load(reopened)
             buf.extend(g, rng)
             continue
         if spent >= budget:

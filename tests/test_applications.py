@@ -1,7 +1,6 @@
 """Application procedures against brute-force ground truth."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -253,77 +252,53 @@ def test_strip_nonexpanding_checks_its_window():
     g = complete(5)
     for v0, bad in (([0, 7], 7), ([0, -2], -2), ([5], 5)):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-            strip_nonexpanding(g, v0, 1, 1)
+            strip_nonexpanding(g, v0, 1)
 
 
 def test_strip_nonexpanding():
-    g = complete(10)
-    res = strip_nonexpanding(g, range(10), size_bound=1, ratio=9)
-    assert res.removed == set() and res.certified
-    g = clique_plus_isolated(8, 2)
-    res = strip_nonexpanding(g, range(10), size_bound=2, ratio=2, cap=4)
-    assert res.removed == {8, 9}
-    assert res.survivors == set(range(8))
-    # trace grows monotonically, bounded steps
-    seen = set()
-    for a_set, _ in res.trace:
-        assert len(a_set) <= 2
-        assert not (set(a_set) & seen)
-        seen |= set(a_set)
+    res = strip_nonexpanding(complete(10), range(10), 4)
+    assert res.removed == set() and res.trace == [] and res.certified
+    res = strip_nonexpanding(clique_plus_isolated(8, 2), range(10), 4)
+    assert res.removed == {8, 9} and res.survivors == set(range(8))
+    assert res.trace == [([8], 0), ([9], 0)] and res.certified
+    # a path peels from its low end, one vertex at a time, until the cap binds
+    res = strip_nonexpanding(path_graph(6), range(6), 3)
+    assert res.trace == [([0], 1), ([1], 1), ([2], 1)]
+    assert res.survivors == {3, 4, 5} and not res.certified
+    res = strip_nonexpanding(path_graph(6), [1, 2, 4, 5], 4)
+    assert res.trace == [([1], 1), ([2], 0), ([4], 1), ([5], 0)]
 
 
-def naive_strip(g, v0, size_bound, ratio, cap, budget):
-    """The stripping loop walked with `neighborhood` restricted to the window,
-    handing over to the greedy search where the exact one would pass the
-    budget."""
-    removed, trace, heuristic = set(), [], False
+def naive_strip(g, v0, cap):
+    """The stripping loop walked with `neighborhood` restricted to the window:
+    remove the lowest-id vertex with fewer than 2 neighbours left in it."""
+    removed, trace = set(), []
     while len(removed) < cap:
         window = set(v0) - removed
-        if not window:
+        degrees = [(v, len(neighborhood(g, [v]) & window)) for v in sorted(window)]
+        low = [(v, nb) for v, nb in degrees if nb < 2]
+        if not low:
             break
-        wlist, found, total = sorted(window), None, 0
-        for a in range(1, size_bound + 1):
-            total += math.comb(len(wlist), a)
-            if total > budget:
-                heuristic = True
-                sub, labels = g.induced(wlist)
-                found = applications._greedy_violator(sub, labels, size_bound, ratio)
-                break
-            for combo in itertools.combinations(wlist, a):
-                nb = len(neighborhood(g, combo) & window)
-                if nb < ratio * a:
-                    found = list(combo), nb
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        removed |= set(found[0])
-        trace.append((sorted(found[0]), found[1]))
-    return removed, trace, not heuristic and len(removed) < cap, heuristic
+        v, nb = low[0]
+        removed.add(v)
+        trace.append(([v], nb))
+    return removed, trace, len(removed) < cap
 
 
 def test_strip_matches_the_definitional_walk():
     rng = random.Random(515)
-    greedy = 0
+    bound = 0
     for i in range(200):
         n = rng.randint(4, 14)
         g = gnp(n, rng.uniform(0.1, 0.7), seed=f"strip:{i}")
         v0 = rng.sample(range(n), rng.randint(2, n))
-        size_bound = rng.randint(1, 3)
-        ratio = rng.choice([0.5, 1, 2, 3])
         cap = rng.randint(1, len(v0))
-        budget = rng.choice([10**8, 2 * len(v0)])
-        res = strip_nonexpanding(g, v0, size_bound, ratio, cap=cap, budget=budget)
-        removed, trace, certified, heuristic = naive_strip(
-            g, v0, size_bound, ratio, cap, budget
-        )
-        assert (res.removed, res.trace, res.certified, res.heuristic) == (
-            removed, trace, certified, heuristic
-        )
+        res = strip_nonexpanding(g, v0, cap)
+        removed, trace, certified = naive_strip(g, v0, cap)
+        assert (res.removed, res.trace, res.certified) == (removed, trace, certified)
         assert res.survivors == set(v0) - removed
-        greedy += heuristic
-    assert greedy >= 15
+        bound += not certified
+    assert bound >= 15
 
 
 def test_cycle_of_length_k_cliques():

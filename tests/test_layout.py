@@ -3,12 +3,15 @@ whether imported by name (`from .rotation import _place`) or reached through
 an imported module (`from . import rotation` then `rotation._place`).  The
 soundness checks of every module are explicit raises, not `assert`
 statements, which `python -O` strips.  Every function, class, method and
-property of the package is read somewhere in src/, bench/ or tests/, and
-every function bench/tracing.py wraps is still bound where it looks."""
+property of the package is read somewhere in src/, bench/ or tests/, every
+option of its functions and methods is passed by some call there, and every
+function bench/tracing.py wraps is still bound where it looks."""
 
 import ast
 import importlib
+import math
 import pathlib
+from collections import defaultdict
 
 import hamlab
 
@@ -218,3 +221,106 @@ def test_traced_functions_exist():
         if not hasattr(importlib.import_module(f"hamlab.{module}"), name)
     }
     assert missing <= STALE_TRACED
+
+
+
+def _options(tree, module):
+    """(qualified name, name, index, parameter) of each parameter with a
+    default of a module-level function or a method, dunders aside.  `index`
+    is the parameter's place among the arguments a call passes (so `self`
+    and `cls` do not count); it is None for a keyword-only parameter."""
+    functions = [(module, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    functions.append((f"{module}.{node.name}", item, 0 if static else 1))
+    for prefix, fn, skip in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first - skip):
+            yield f"{prefix}.{fn.name}", fn.name, index, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}.{fn.name}", fn.name, None, arg.arg
+
+
+def _calls(tree):
+    """(name, positional arguments, keywords) of each call in `tree` of a name
+    or an attribute.  A `*` argument passes every position and a `**`
+    argument every keyword, spelled "**"."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        count = math.inf if starred else len(node.args)
+        yield name, count, {kw.arg or "**" for kw in node.keywords}
+
+
+def _unpassed(options, calls):
+    """The options that no call of their function's name passes."""
+    most, keywords = defaultdict(int), defaultdict(set)
+    for name, count, passed in calls:
+        most[name] = max(most[name], count)
+        keywords[name] |= passed
+    return [
+        f"{qualified}({param})"
+        for qualified, name, index, param in options
+        if not (index is not None and most[name] > index or {param, "**"} & keywords[name])
+    ]
+
+
+def test_every_option_is_passed():
+    """A parameter with a default must be passed, by keyword or by position,
+    in some call of its function in src/, bench/ or tests/; an option that
+    no call sets is code that no caller reaches."""
+    calls = [
+        call
+        for folder in ("src", "bench", "tests")
+        for path in (ROOT / folder).rglob("*.py")
+        for call in _calls(ast.parse(path.read_text()))
+    ]
+    options = [
+        option
+        for module in sorted(MODULES)
+        for option in _options(ast.parse((PACKAGE / f"{module}.py").read_text()), module)
+    ]
+    assert _unpassed(options, calls) == []
+
+
+def test_option_checker_sees_each_way_of_passing():
+    source = """
+def f(a, b=1, c=2, *, d=3, e=4):
+    pass
+
+def h(a=0, *, b=1):
+    pass
+
+class K:
+    def m(self, x=0, y=1):
+        pass
+
+    @staticmethod
+    def s(x=0):
+        pass
+
+f(0, 1, d=5)
+K().m(2)
+h(*rest, **more)
+"""
+    tree = ast.parse(source)
+    assert _unpassed(_options(tree, "mod"), _calls(tree)) == [
+        "mod.f(c)", "mod.f(e)", "mod.K.m(y)", "mod.K.s(x)"
+    ]
