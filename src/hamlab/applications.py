@@ -28,6 +28,7 @@ from .graph import (
     Path,
     SoundnessError,
     adjacency_masks,
+    check_vertices,
     edge_key,
     is_connected,
     validate_cycle,
@@ -111,17 +112,11 @@ def hamiltonian_oracle(g):
     return True, cycle
 
 
-def _check_vertices(g, vertices):
-    for w in vertices:
-        if not 0 <= w < g.n:
-            raise ValueError(f"vertex {w} out of range")
-
-
 def hamilton_path_oracle(g, u, v):
     """Exact u-v Hamilton path decision for n <= 20."""
     if g.n > ORACLE_CAP:
         raise ValueError(f"oracle capped at n={ORACLE_CAP}")
-    _check_vertices(g, (u, v))
+    check_vertices(g, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
     dp, adj = _dp_paths_from(g, u)
@@ -193,7 +188,7 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
     never-break constraint on (u, v), and finally strips the helper edge.
     The broken-edge log of the protected closing is exposed on the result.
     """
-    _check_vertices(g, (u, v))
+    check_vertices(g, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
     stats = new_stats()
@@ -275,7 +270,7 @@ def _strip_protected(cycle_seq, u, v):
 def hamilton_cycle_through_edge(g, e, budget=100000):
     """Hamilton cycle containing the edge e (which must be present in g)."""
     u, v = e
-    _check_vertices(g, e)
+    check_vertices(g, e)
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     res = hamilton_path_between(g, u, v, budget=budget)
@@ -310,7 +305,7 @@ def strip_nonexpanding(g, v0, cap):
     survivor keeps 2 neighbours among the survivors.
     """
     v0 = set(v0)
-    _check_vertices(g, v0)
+    check_vertices(g, v0)
     masks = adjacency_masks(g)
     inside = sum(1 << v for v in v0)
     removed = set()
@@ -456,13 +451,13 @@ class ExperimentStats:
         }
 
 
-def gnp_trials(n, p, trials, seed=0, budget=60000, mode="heuristic", label="sweep"):
+def gnp_trials(n, p, trials, seed=0, budget=60000, mode="heuristic"):
     """Run seeded Hamiltonicity trials on fresh G(n, p) samples."""
     from .graph import gnp
 
     stats = ExperimentStats()
     for i in range(trials):
-        trial_seed = f"{label}:{seed}:{i}"
+        trial_seed = f"sweep:{seed}:{i}"
         g = gnp(n, p, seed=trial_seed)
         res = find_hamilton_cycle(g, mode=mode, budget=budget, seed=trial_seed)
         stats.trials.append(

@@ -313,9 +313,7 @@ def cmd_pivot_audit(args):
 
 def _sweep_point(config):
     n, p, trials, seed, budget, mode, pi = config
-    stats = gnp_trials(
-        n, p, trials, seed=f"{seed}:{pi}", budget=budget, mode=mode, label="sweep"
-    )
+    stats = gnp_trials(n, p, trials, seed=f"{seed}:{pi}", budget=budget, mode=mode)
     agg = stats.aggregate()
     agg["p"] = p
     rows = [

@@ -52,7 +52,6 @@ PROOF_ATTEMPTS = 2  # restarts on which auto mode tries the pipeline first
 @dataclass(frozen=True)
 class SegmentDecomposition:
     base: Path
-    rho: int
     segments: tuple  # 2*rho contiguous runs, in base order
     seg_of: tuple  # base position -> index of the segment holding it
     starts: tuple  # base position where each segment starts, then len(base)
@@ -104,7 +103,7 @@ def decompose(path, rho, protected_edge=None):
     segments = tuple(path.vertices[a:b] for a, b in bounds)
     seg_of = tuple(i for i, (a, b) in enumerate(bounds) for _ in range(a, b))
     starts = tuple(a for a, _ in bounds) + (q,)
-    return SegmentDecomposition(path, rho, segments, seg_of, starts)
+    return SegmentDecomposition(path, segments, seg_of, starts)
 
 
 @dataclass(frozen=True)

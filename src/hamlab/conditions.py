@@ -3,10 +3,11 @@
 Exact checks enumerate candidate sets inside a work budget (default 1e8 subset
 inspections, overridable via the HAMLAB_WORK_BUDGET environment variable).
 Sampled mode only ever refutes: it reports `fails` with a witness or
-`indeterminate`, never `holds`.  The P1/P2 checks walk their candidate sets
-with one walker, counting neighbourhoods with adjacency bitmasks
-(`graph.adjacency_masks`); every `fails` witness is then re-validated against
-the raw definition (`neighborhood`, `has_edge`) before it is returned.
+`indeterminate`, never `holds`.  The P1/P2 and f-connectivity checks walk
+their candidate sets with one walker, counting neighbourhoods with adjacency
+bitmasks (`graph.adjacency_masks`); every `fails` witness is then re-validated
+against the raw definition (`neighborhood`, `has_edge`, `is_separation`)
+before it is returned.
 """
 
 from __future__ import annotations
@@ -361,74 +362,6 @@ class FConnSpec:
         raise ValueError(f"unknown preset {name!r}")
 
 
-def _components_of_removal(g, removed):
-    comps = []
-    seen = set(removed)
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
-
-
-def separations(g):
-    """Yield every separation (A, B) with |A \\ B| <= |B \\ A|, up to swapping.
-
-    Enumerates separators T = A n B and bipartitions of the components of
-    G - T; each component lies wholly on one side, so one representative per
-    achievable side-size split suffices for the f-connectivity inequality.
-    """
-    if g.n > DEFAULT_FCONN_N:
-        raise WorkBudgetExceeded(f"separation enumeration capped at n={DEFAULT_FCONN_N}")
-    vertices = list(range(g.n))
-    for size in range(g.n - 1):
-        for t_combo in itertools.combinations(vertices, size):
-            t = set(t_combo)
-            comps = _components_of_removal(g, t)
-            if len(comps) < 2:
-                continue
-            # Subset-sum over component sizes, one representative split per
-            # achievable smaller-side size.
-            reachable = {0: []}
-            for idx, comp in enumerate(comps):
-                step = {}
-                for total, members in reachable.items():
-                    cand = total + len(comp)
-                    if cand not in reachable and cand not in step:
-                        step[cand] = members + [idx]
-                reachable.update(step)
-            outside = g.n - size
-            seen_small = set()
-            for total, members in sorted(reachable.items()):
-                if total == 0 or total == outside:
-                    continue
-                small = min(total, outside - total)
-                if small in seen_small:
-                    continue
-                seen_small.add(small)
-                side1 = set()
-                for idx in members:
-                    side1.update(comps[idx])
-                side2 = set(vertices) - t - side1
-                if len(side1) <= len(side2):
-                    a, b = side1 | t, side2 | t
-                else:
-                    a, b = side2 | t, side1 | t
-                yield sorted(a), sorted(b)
-
-
 def is_separation(g, a, b):
     a, b = set(a), set(b)
     if a | b != set(range(g.n)) or len(a) == g.n or len(b) == g.n:
@@ -437,27 +370,33 @@ def is_separation(g, a, b):
 
 
 def check_f_connected(g, f):
-    """Exact f-connectivity decision via separation enumeration.
+    """Exact f-connectivity decision: every separation (A, B) with
+    |A \\ B| <= |B \\ A| has |A n B| >= f(|A \\ B|).
 
-    Complete graphs short-circuit: both strict sides of a separation would
-    have to be nonempty and mutually nonadjacent, so no separation exists and
-    every f holds vacuously.
+    The smaller strict side S = A \\ B of a separation has N(S) inside A n B
+    and |S| <= n - |S| - |N(S)|; conversely (S u N(S), V \\ S) is such a
+    separation.  So G fails exactly when some nonempty S with |S| <= n/2 has
+    |N(S)| < min(f(|S|), n - 2|S| + 1), which the subset walker finds first in
+    size-then-lexicographic order.  Complete graphs short-circuit: both strict
+    sides of a separation would have to be nonempty and mutually nonadjacent,
+    so no separation exists and every f holds vacuously.
     """
-    work = 0
     params = {"f": f.name}
     if len(g.edges) == g.n * (g.n - 1) // 2:
+        return ConditionReport("f-connected", HOLDS, None, params, 0, "exact")
+    if g.n > DEFAULT_FCONN_N:
+        raise WorkBudgetExceeded(f"f-connectivity check capped at n={DEFAULT_FCONN_N}")
+    sizes = range(1, g.n // 2 + 1)
+    draws = _draws(range(g.n), sizes, "exact", None, 0, "", "f-connectivity")
+    combo, work, nb = _first_short(g, draws, lambda k: min(f(k), g.n - 2 * k + 1))
+    if combo is None:
         return ConditionReport("f-connected", HOLDS, None, params, work, "exact")
-    for a, b in separations(g):
-        work += 1
-        a_only = set(a) - set(b)
-        cut = set(a) & set(b)
-        if len(cut) < f(len(a_only)):
-            if not is_separation(g, a, b):
-                raise SoundnessError(f"witness {a}, {b} is not a separation")
-            return ConditionReport(
-                "f-connected", FAILS, {"A": a, "B": b}, params, work, "exact"
-            )
-    return ConditionReport("f-connected", HOLDS, None, params, work, "exact")
+    a = sorted(set(combo) | {v for v in range(g.n) if nb >> v & 1})
+    b = [v for v in range(g.n) if v not in combo]
+    k = len(set(a) - set(b))  # |A \ B| <= |B \ A| = n - |A| and |A n B| < f(k)
+    if not is_separation(g, a, b) or k > g.n - len(a) or len(set(a) & set(b)) >= f(k):
+        raise SoundnessError(f"f-connectivity witness {a}, {b} does not refute")
+    return ConditionReport("f-connected", FAILS, {"A": a, "B": b}, params, work, "exact")
 
 
 def fconn_implies_conditions(g, f, d=12.0, s_small=None, s_big=1):

@@ -82,7 +82,7 @@ class Graph:
 
     def with_edge(self, u, v):
         """Return a copy with edge (u, v) added (no-op if present)."""
-        _check_vertices(self, (u, v))
+        check_vertices(self, (u, v))
         if self.has_edge(u, v):
             return self
         return Graph(self.n, list(self.edges) + [(u, v)])
@@ -94,7 +94,7 @@ class Graph:
         subgraph's vertex i.
         """
         labels = sorted(set(vertices))
-        _check_vertices(self, labels[:1] + labels[-1:])
+        check_vertices(self, labels[:1] + labels[-1:])
         index = [-1] * self.n
         for i, v in enumerate(labels):
             index[v] = i
@@ -119,7 +119,7 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def _check_vertices(g, vertices):
+def check_vertices(g, vertices):
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
@@ -260,7 +260,7 @@ def _walk_fault(g, seq, nxt):
 def neighborhood(g, s):
     """External neighborhood: vertices outside `s` adjacent to `s`."""
     s = set(s)
-    _check_vertices(g, s)
+    check_vertices(g, s)
     out = set()
     for v in s:
         out.update(g.neighbors(v))

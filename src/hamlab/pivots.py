@@ -37,8 +37,6 @@ class SpannedGraph:
 class AugmentedPathGraph:
     """H plus a fresh vertex w joined to the far endpoint and to the pivot."""
 
-    base: SpannedGraph
-    pivot_index: int
     added_vertex: int
     added_edges: tuple
     rotated_start: tuple
@@ -62,7 +60,7 @@ def augment(h, pivot_index):
     graph = Graph(w + 1, list(h.graph.edges) + list(added))
     extended = Path(spine + (w,))
     rotated, _ = rotate(graph, extended, pivot_index)
-    return AugmentedPathGraph(h, pivot_index, w, added, rotated.vertices, graph)
+    return AugmentedPathGraph(w, added, rotated.vertices, graph)
 
 
 def pivot_endpoint_set(h, pivot_index, budget=200000, stop_at=None):

@@ -14,8 +14,8 @@ from hamlab.cli import (
     build_parser,
     main,
 )
-from hamlab.conditions import work_budget
-from hamlab.graph import Verdict
+from hamlab.conditions import is_separation, work_budget
+from hamlab.graph import Verdict, cycle_graph
 
 
 def run(capsys, *argv):
@@ -160,6 +160,44 @@ def test_fconn_pipeline_subcommand(capsys):
     payload = json.loads(out)
     assert payload["report"]["params"]["premise"] == "fails"
     assert payload["search"]["cycle"]
+
+
+def test_fconn_quadratic_preset(capsys):
+    code, out = run(
+        capsys, "check", "--fconn", "--preset", "quadratic", "--family", "complete", "--n", "6"
+    )
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "holds"
+    code, out = run(
+        capsys, "check", "--fconn", "--preset", "quadratic", "--family", "cycle", "--n", "8"
+    )
+    assert code == EXIT_NEGATIVE
+    witness = json.loads(out)["witness"]
+    assert is_separation(cycle_graph(8), witness["A"], witness["B"])
+    code, out = run(
+        capsys, "fconn-pipeline", "--preset", "quadratic", "--family", "complete", "--n", "6",
+        "--seed", "1",
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["params"]["f"] == "quadratic" and report["verdict"] == "holds"
+
+
+def test_conditions_joined_subcheck(capsys):
+    # at d = 1e9 and n = 300 the P1pP2p joined threshold n ln d / (1035 ln n)
+    # is 1.05, so the joined sub-check runs with s = 2; expansion is vacuous
+    argv = ["check", "--conditions", "--variant", "P1pP2p", "--d", "1000000000"]
+    code, out = run(
+        capsys, *argv, "--family", "clique_plus_isolated", "--clique", "298", "--isolated", "2"
+    )
+    assert code == EXIT_NEGATIVE
+    payload = json.loads(out)
+    assert payload["verdict"] == "fails" and payload["params"]["vacuous"] == ["expansion"]
+    assert payload["params"]["sub"]["joined"] == "fails"
+    assert payload["witness"] == {"A": [0, 1], "B": [298, 299]}
+    code, out = run(capsys, *argv, "--family", "complete", "--n", "300")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["verdict"] == "holds" and payload["work"] == 44850  # C(300, 2)
 
 
 def test_golden_replay(tmp_path, capsys):

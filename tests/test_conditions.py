@@ -251,6 +251,25 @@ def test_witness_and_work_match_the_definitional_walk():
                     else {"property": "weak_expansion", "A": list(combo)}
                 )
 
+        # f-connectivity: the first small side S of a refuting separation
+        spec = (FConnSpec.constant(1), FConnSpec.constant(2), FConnSpec.affine(1, 0))[i % 3]
+        combo, work = first_failure(
+            subsets(verts, n // 2),
+            lambda c: len(neighborhood(g, c)) < min(spec(len(c)), n - 2 * len(c) + 1),
+        )
+        if len(g.edges) == n * (n - 1) // 2:
+            work = 0  # complete graphs short-circuit
+        rep = check_f_connected(g, spec)
+        assert (rep.witness, rep.work) == (
+            None
+            if combo is None
+            else {
+                "A": sorted(set(combo) | neighborhood(g, combo)),
+                "B": [v for v in verts if v not in combo],
+            },
+            work,
+        )
+
         if n > 8:
             continue
         # implication (i) under a premise that always holds
