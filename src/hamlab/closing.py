@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import (
     Cycle,
@@ -106,8 +107,7 @@ def decompose(path, rho, protected_edge=None):
     return SegmentDecomposition(path, segments, seg_of, starts)
 
 
-@dataclass(frozen=True)
-class RotatedPathRecord:
+class RotatedPathRecord(NamedTuple):
     pair: tuple
     rotations: int
     broken_p0: frozenset  # base-path edges absent from the pair path
@@ -123,7 +123,8 @@ def unbroken_segments(dec, runs, pair=None, rotations=0):
     it starts at the run's path offset plus the distance from the run's
     start to the segment's first base position on the way, both read from
     `dec.starts`.  The broken base edges are the ones that leave a run at
-    its upper end.  A record costs O(runs + rho), not O(n).
+    its upper end.  A record costs O(runs + rho), not O(n); the loop takes
+    one branch per run, on its direction.
     """
     seq = dec.base.vertices
     seg_of, starts = dec.seg_of, dec.starts
@@ -132,22 +133,29 @@ def unbroken_segments(dec, runs, pair=None, rotations=0):
     found = []
     offset = 0
     for a, b in runs:
-        lo, hi = (a, b) if a <= b else (b, a)
-        first, final = seg_of[lo], seg_of[hi]
-        if starts[first] < lo:
-            first += 1  # the run starts inside this segment
-        if starts[final + 1] > hi + 1:
-            final -= 1  # the run ends inside this segment
-        if hi < last:
-            broken.append(edge_key(seq[hi], seq[hi + 1]))
         if a <= b:
+            first, final = seg_of[a], seg_of[b]
+            if starts[first] < a:
+                first += 1  # the run starts inside this segment
+            if starts[final + 1] > b + 1:
+                final -= 1  # the run ends inside this segment
+            if b < last:
+                broken.append(edge_key(seq[b], seq[b + 1]))
             for i in range(first, final + 1):
                 found.append((i, False, offset - a + starts[i]))
+            offset += b - a + 1
         else:
+            first, final = seg_of[b], seg_of[a]
+            if starts[first] < b:
+                first += 1
+            if starts[final + 1] > a + 1:
+                final -= 1
+            if a < last:
+                broken.append(edge_key(seq[a], seq[a + 1]))
             end = offset + a + 1  # base position x is at path position end - 1 - x
             for i in range(final, first - 1, -1):
                 found.append((i, starts[i + 1] - starts[i] > 1, end - starts[i + 1]))
-        offset += hi - lo + 1
+            offset += a - b + 1
     return RotatedPathRecord(pair, rotations, frozenset(broken), tuple(found))
 
 
@@ -178,26 +186,36 @@ def select_sigma0(records, tau, must_include=None):
     records contain the sequence, and ties go to the larger entries.  With
     `must_include`, only sequences using that segment index are considered.
     An entry (seg, rev) is counted as the integer 2*seg + rev, whose order
-    is the order of the tuples, and only the winner's pair set is built.
+    is the order of the tuples.  One `Counter` counts the sequences of every
+    pair, and only the winner's pair set is built, by a subsequence test on
+    each coded layout.
     """
     layouts = {}  # pair -> coded layouts of its records
     for rec in records:
         if len(rec.unbroken) < tau:
             raise ValueError("record has fewer unbroken segments than tau")
-        layouts.setdefault(rec.pair, []).append(tuple(2 * s + r for s, r, _ in rec.unbroken))
+        layouts.setdefault(rec.pair, []).append(tuple([2 * s + r for s, r, _ in rec.unbroken]))
     combos = itertools.combinations
-    counts = collections.Counter()
-    for coded in layouts.values():
+
+    def sequences(coded):
         seqs = combos(coded[0], tau)
         if len(coded) > 1:
             seqs = set(seqs).union(*(combos(c, tau) for c in coded[1:]))
         if must_include is not None:
             seqs = [e for e in seqs if must_include in (c >> 1 for c in e)]
-        counts.update(seqs)
+        return seqs
+
+    counts = collections.Counter(itertools.chain.from_iterable(map(sequences, layouts.values())))
     if not counts:
         return None, set()
     best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    won = {p for p, coded in layouts.items() if any(best in combos(c, tau) for c in coded)}
+
+    def holds(c):
+        # best is a tau-sequence of the layout c exactly when it is a subsequence of c
+        it = iter(c)
+        return all(e in it for e in best)
+
+    won = {p for p, coded in layouts.items() if any(holds(c) for c in coded)}
     return TauSequence(tuple((c >> 1, bool(c & 1)) for c in best)), won
 
 

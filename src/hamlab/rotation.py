@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Path, SoundnessError, edge_key
 
 
-@dataclass(frozen=True)
-class RotationStep:
+class RotationStep(NamedTuple):
     pivot: int
     broken_edge: tuple
     new_endpoint: int
@@ -98,13 +98,22 @@ def rotated_runs(runs, i):
     return tuple(head + tail)
 
 
-def run_position(runs, p):
-    """The path position of base position p."""
+def run_successor(runs, p):
+    """The path position of base position p and the base position after it
+    on the path (None when p is the last), whose vertex a rotation at p
+    makes the new endpoint."""
     offset = 0
-    for a, b in runs:
-        if a <= p <= b or b <= p <= a:
-            return offset + abs(p - a)
-        offset += abs(b - a) + 1
+    for k, (a, b) in enumerate(runs):
+        if a <= p <= b:
+            nxt = p + 1 if p != b else None
+        elif b <= p <= a:
+            nxt = p - 1 if p != b else None
+        else:
+            offset += abs(b - a) + 1
+            continue
+        if nxt is None and k + 1 < len(runs):
+            nxt = runs[k + 1][0]
+        return offset + abs(p - a), nxt
     raise ValueError(f"base position {p} is not on the path")
 
 
@@ -114,7 +123,7 @@ def chain_runs(base, step):
     runs = ((0, len(base) - 1),)
     if step is not None:
         for s in step.chain():
-            runs = rotated_runs(runs, run_position(runs, base.pos[s.pivot]))
+            runs = rotated_runs(runs, run_successor(runs, base.pos[s.pivot])[0])
     return runs
 
 
@@ -344,9 +353,6 @@ class EndpointFamily:
         step = self.chains[v]
         return step.chain() if step is not None else []
 
-    def rotations_to(self, v):
-        return len(self.chain_steps(v))
-
     def to_json(self):
         return {
             "fixed": self.fixed,
@@ -412,11 +418,15 @@ def endpoint_family(
     sorted by endpoint and trimmed to its keep size, so trimming keeps the
     lowest vertex ids.  The construction stops when the family holds
     `total_target` endpoints (default ceil(n/3)) or a layer comes up empty.
-    The runs of each placed endpoint's path go to `fam.runs`, and a source's
-    runs are rotated directly: a candidate pivot is a neighbor of its source,
-    the last vertex of the source's path, so every rotation is valid.  The
-    runs are held over `path`, or with `over` = (other, runs) over that other
-    path, starting from `runs`, the runs of `path` over it.
+    A candidate pivot is a neighbor of its source, the last vertex of the
+    source's path, so every rotation is valid, and its new endpoint, the
+    vertex after the pivot on that path, is read off the source's runs
+    (`run_successor`) without rotating.  Only the endpoints a layer keeps
+    after its trim get a `RotationStep` and their runs, the source's runs
+    rotated, in `fam.runs`; `stats` counts every placed candidate as a
+    rotation and its broken edge.  The runs are held over `path`, or with
+    `over` = (other, runs) over that other path, starting from `runs`, the
+    runs of `path` over it.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
@@ -439,32 +449,30 @@ def endpoint_family(
         t += 1
         target = math.ceil((d / 3.0) ** t)
         keep = None if surplus is None else math.ceil(target * surplus)
-        placed = {}  # endpoint -> (runs, step)
+        placed = {}  # endpoint -> (source, path position, pivot, broken edge)
         for _, pivot, src in _pivot_candidates(g, path, fam.layers[-1], used):
-            runs = fam.runs[src]
-            idx = run_position(runs, pos[pivot])
+            idx, nxt = run_successor(fam.runs[src], pos[pivot])
             if idx > q - 3:
                 continue
-            new_runs = rotated_runs(runs, idx)
-            ep = seq[new_runs[-1][1]]
+            ep = seq[nxt]
             broken = edge_key(pivot, ep)
             if broken == protected_edge:
                 continue
             if ep in used or ep in placed or ep == fixed:
                 continue
-            step = RotationStep(pivot, broken, ep, fam.chains[src])
-            placed[ep] = (new_runs, step)
-            if stats is not None:
-                stats["rotations"] = stats.get("rotations", 0) + 1
-                stats.setdefault("broken_edges", set()).add(step.broken_edge)
+            placed[ep] = (src, idx, pivot, broken)
         if not placed:
             fam.stopped = "empty_layer"
             break
+        if stats is not None:
+            stats["rotations"] = stats.get("rotations", 0) + len(placed)
+            stats.setdefault("broken_edges", set()).update(c[3] for c in placed.values())
         layer = sorted(placed)[:keep]
         for ep in layer:
-            fam.runs[ep], step = placed[ep]
-            fam.chains[ep] = step
-            fam.broken_edges.add(step.broken_edge)
+            src, idx, pivot, broken = placed[ep]
+            fam.runs[ep] = rotated_runs(fam.runs[src], idx)
+            fam.chains[ep] = RotationStep(pivot, broken, ep, fam.chains[src])
+            fam.broken_edges.add(broken)
             used.add(ep)
         fam.layers.append(layer)
         fam.schedule.append(target)
@@ -620,14 +628,19 @@ def double_rotation_targets(
             over=over,
         )
 
+    def layer_index(fam):
+        # an endpoint of layer t has a chain of t rotations
+        return {v: t for t, layer in enumerate(fam.layers) for v in layer}
+
     fam1 = family(path)
+    rot1 = layer_index(fam1)
     out = DoubleRotationTargets(path, {}, {}, families_built=1)
     for a in sorted(fam1.endpoints())[:a_cap]:
         runs_a = rotated_runs(fam1.runs[a], -1)  # a first
-        rot_a = fam1.rotations_to(a)
         fam2 = family(runs_path(path, runs_a), over=(path, runs_a))
         out.families_built += 1
+        rot2 = layer_index(fam2)
         for b in sorted(fam2.endpoints()):
             out.pair_runs[(a, b)] = fam2.runs[b]
-            out.pair_rotations[(a, b)] = rot_a + fam2.rotations_to(b)
+            out.pair_rotations[(a, b)] = rot1[a] + rot2[b]
     return out

@@ -1,11 +1,12 @@
 """Runs and the segment records read from them, against whole paths: along
-random rotation chains the runs track `rotate` and `Path.reversed`, map base
-positions to path positions and stay maximal, and the record read from the
-runs equals the record the whole-path computation gives; every pair of a
-real double rotation gives that record too, and a family's rebuilt paths
-equal its replayed chains; the runs the families hand over equal their
-chains folded; the sigma0 choice counted on coded entries equals the one
-made by enumerating every record's tau-sequences."""
+random rotation chains the runs track `rotate` and `Path.reversed`, map each
+base position to its path position and to the base position after it on the
+path, and stay maximal, and the record read from the runs equals the record
+the whole-path computation gives; every pair of a real double rotation
+gives that record too, and a family's rebuilt paths equal its replayed
+chains; the runs the families hand over equal their chains folded; the
+sigma0 choice counted on coded entries equals the one made by enumerating
+every record's tau-sequences."""
 
 import itertools
 import random
@@ -30,7 +31,7 @@ from hamlab import (
     unbroken_segments,
 )
 from hamlab.closing import TauSequence
-from hamlab.rotation import chain_runs, rotated_runs, run_position, runs_path
+from hamlab.rotation import chain_runs, rotated_runs, run_successor, runs_path
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -116,8 +117,11 @@ def check_maximal(runs):
 def check_runs(p, runs, cur):
     """`runs` over the base path `p` hold exactly the path `cur`."""
     assert runs_path(p, runs) == cur
+    base = p.pos
     for i, v in enumerate(p.vertices):
-        assert run_position(runs, i) == cur.pos[v]
+        k = cur.pos[v]
+        nxt = base[cur[k + 1]] if k + 1 < len(cur) else None
+        assert run_successor(runs, i) == (k, nxt)
     check_maximal(runs)
 
 
@@ -214,7 +218,7 @@ def refold(base, runs, step):
     """The chain ending at `step` applied to `runs` over `base`, one rotation
     at a time: the fold the families' hand-off replaced."""
     for s in step.chain() if step is not None else ():
-        runs = rotated_runs(runs, run_position(runs, base.pos[s.pivot]))
+        runs = rotated_runs(runs, run_successor(runs, base.pos[s.pivot])[0])
     return runs
 
 
@@ -288,6 +292,31 @@ F, R = False, True
          1, None, (((1, R),), {(0, 2)})),
         ([record((0, 1), [(1, F), (4, R)]), record((0, 2), [(1, R), (4, R)])],
          1, 1, (((1, R),), {(0, 2)})),
+        # a pair holds the winner only in a later record, and not contiguously
+        # there; the same segments out of order or with another flag do not
+        (
+            [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(2, F), (3, F)]),
+             record((0, 1), [(2, F), (5, R), (3, F)]), record((0, 4), [(3, F), (2, F)]),
+             record((0, 5), [(2, R), (3, F)])],
+            2, None, (((2, F), (3, F)), {(0, 1), (0, 2)}),
+        ),
+        # the same with must_include: the unfiltered winner ((1, F), (4, F))
+        # is held by three pairs, (0, 1) only in its second record, and the
+        # filtered one by (0, 1) only in its third
+        *(
+            (
+                [record((0, 1), [(0, F), (1, F)]), record((0, 1), [(1, F), (4, F)]),
+                 record((0, 1), [(0, F), (5, F), (4, F)]),
+                 record((0, 2), [(0, F), (3, F), (5, F)]), record((0, 3), [(5, F), (0, F)]),
+                 record((0, 4), [(1, F), (4, F)]), record((0, 5), [(1, F), (4, F)])],
+                2, must, want,
+            )
+            for must, want in (
+                (None, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
+                (4, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
+                (5, (((0, F), (5, F)), {(0, 1), (0, 2)})),
+            )
+        ),
     ],
 )
 def test_select_sigma0_edge_cases(records, tau, must, want):

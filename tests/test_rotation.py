@@ -1,5 +1,7 @@
-"""Rotation engine: single steps, families vs. the brute-force closure."""
+"""Rotation engine: single steps, families vs. the brute-force closure and
+vs. an eager builder that rotated every candidate before the trim."""
 
+import math
 import random
 
 import pytest
@@ -22,6 +24,14 @@ from hamlab import (
     replay_chain,
     rotate,
     validate_path,
+)
+from hamlab import rotation
+from hamlab.rotation import (
+    EndpointFamily,
+    RotationStep,
+    rotated_runs,
+    run_successor,
+    runs_path,
 )
 
 
@@ -215,3 +225,149 @@ def test_double_rotation_targets_c5():
         assert {p.first, p.last} == {a, b}
         assert is_maximal(g, p)
         assert validate_path(g, p.vertices)
+
+
+def eager_endpoint_family(
+    g, path, d=9.0, total_target=None, surplus=2.0, protected_edge=None, stats=None, over=None
+):
+    """The layered builder that rotated the runs of every placed candidate
+    and built its step before the layer was trimmed."""
+    if total_target is None:
+        total_target = math.ceil(g.n / 3)
+    q = len(path)
+    over_path, start = over if over is not None else (path, ((0, q - 1),))
+    seq, pos = over_path.vertices, over_path.pos
+    fixed = path.first
+    fam = EndpointFamily(base=path, fixed=fixed)
+    terminal = path.last
+    fam.layers.append([terminal])
+    fam.schedule.append(1)
+    fam.chains[terminal] = None
+    fam.runs[terminal] = start
+    used = {terminal}
+    t = 0
+    while True:
+        if len(fam.chains) >= total_target:
+            fam.stopped = "target_met"
+            break
+        t += 1
+        target = math.ceil((d / 3.0) ** t)
+        keep = None if surplus is None else math.ceil(target * surplus)
+        placed = {}
+        for _, pivot, src in rotation._pivot_candidates(g, path, fam.layers[-1], used):
+            runs = fam.runs[src]
+            idx = run_successor(runs, pos[pivot])[0]
+            if idx > q - 3:
+                continue
+            new_runs = rotated_runs(runs, idx)
+            ep = seq[new_runs[-1][1]]
+            broken = edge_key(pivot, ep)
+            if broken == protected_edge:
+                continue
+            if ep in used or ep in placed or ep == fixed:
+                continue
+            step = RotationStep(pivot, broken, ep, fam.chains[src])
+            placed[ep] = (new_runs, step)
+            if stats is not None:
+                stats["rotations"] = stats.get("rotations", 0) + 1
+                stats.setdefault("broken_edges", set()).add(step.broken_edge)
+        if not placed:
+            fam.stopped = "empty_layer"
+            break
+        layer = sorted(placed)[:keep]
+        for ep in layer:
+            fam.runs[ep], step = placed[ep]
+            fam.chains[ep] = step
+            fam.broken_edges.add(step.broken_edge)
+            used.add(ep)
+        fam.layers.append(layer)
+        fam.schedule.append(target)
+    return fam
+
+
+def family_cases():
+    """Seeded gnp graphs with a maximal path each, a protected edge of the
+    path on every other graph, and the family options to build with."""
+    rng = random.Random(29)
+    for i in range(40):
+        n = rng.randint(20, 70)
+        g = gnp(n, rng.uniform(3.0, 8.0) * math.log(n) / n, seed=f"eager:{i}")
+        p = extend(g, Path((rng.randrange(n),)), rng)
+        if len(p) < 4:
+            continue
+        protected = None
+        if i % 2:
+            k = rng.randrange(len(p) - 1)
+            protected = edge_key(p[k], p[k + 1])
+        kw = dict(d=rng.choice([6.0, 9.0, 12.0]), surplus=rng.choice([1.0, 2.0]))
+        yield g, p, protected, kw
+
+
+def test_endpoint_family_matches_the_eager_builder():
+    trimmed = 0
+    for g, p, protected, kw in family_cases():
+        kw = dict(kw, total_target=len(p), protected_edge=protected)
+        stats, ref_stats = {}, {}
+        fam = endpoint_family(g, p, stats=stats, **kw)
+        ref = eager_endpoint_family(g, p, stats=ref_stats, **kw)
+        cases = [(fam, ref, stats, ref_stats)]
+        # second-stage families, held over p from the runs of p_a
+        for a in sorted(fam.chains)[:3]:
+            runs_a = rotated_runs(fam.runs[a], -1)
+            p_a = runs_path(p, runs_a)
+            stats, ref_stats = {}, {}
+            over = (p, runs_a)
+            fam2 = endpoint_family(g, p_a, stats=stats, over=over, **kw)
+            ref2 = eager_endpoint_family(g, p_a, stats=ref_stats, over=over, **kw)
+            cases.append((fam2, ref2, stats, ref_stats))
+        for fam, ref, stats, ref_stats in cases:
+            assert fam.layers == ref.layers
+            assert fam.schedule == ref.schedule
+            assert fam.chains == ref.chains
+            assert fam.runs == ref.runs
+            assert fam.broken_edges == ref.broken_edges
+            assert fam.stopped == ref.stopped
+            assert stats.get("rotations") == ref_stats.get("rotations")
+            assert stats.get("broken_edges") == ref_stats.get("broken_edges")
+            trimmed += stats.get("rotations", 0) - (len(fam.chains) - 1)
+    assert trimmed > 0  # the keep trim binds, so candidates are dropped
+
+
+def test_runs_are_built_only_for_kept_endpoints(monkeypatch):
+    g = gnp(80, 5 * math.log(80) / 80, seed="work-count")
+    p = extend(g, Path((0,)))
+    fam1 = endpoint_family(g, p)
+    calls = []
+
+    def counted(runs, i):
+        calls.append(i)
+        return real(runs, i)
+
+    real = rotation.rotated_runs
+    monkeypatch.setattr(rotation, "rotated_runs", counted)
+    stats = {}
+    out = double_rotation_targets(g, p, a_cap=4, stats=stats)
+    second = out.families_built - 1
+    kept = len(fam1.chains) - 1  # the terminal has no rotation
+    for a in sorted(fam1.chains)[:4]:
+        kept += sum(1 for a2, _ in out.pairs() if a2 == a) - 1
+    # one rotation per kept endpoint and one end swap per second-stage family
+    assert second == 4
+    assert len(calls) == kept + second
+    assert calls.count(-1) == second
+    assert stats["rotations"] > kept  # an eager builder would rotate more
+
+
+def test_pair_rotations_are_the_chain_lengths():
+    for g, p, protected, kw in family_cases():
+        kw = dict(kw, protected_edge=protected)
+        out = double_rotation_targets(g, p, a_cap=4, **kw)
+        fam1 = endpoint_family(g, p, **kw)
+        assert out.pairs()
+        for a in sorted(fam1.chains)[:4]:
+            runs_a = rotated_runs(fam1.runs[a], -1)
+            fam2 = endpoint_family(g, runs_path(p, runs_a), over=(p, runs_a), **kw)
+            for b in fam2.chains:
+                want = len(fam1.chain_steps(a)) + len(fam2.chain_steps(b))
+                assert out.pair_rotations[(a, b)] == want
+        assert len(out.pair_rotations) == len(out.pairs())
