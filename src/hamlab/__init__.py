@@ -57,7 +57,6 @@ from .rotation import (
     endpoint_closure_oracle,
     endpoint_family,
     extend,
-    is_maximal,
     reconstruct_path,
     replay_chain,
     rotate,
@@ -74,7 +73,6 @@ from .pivots import (
 )
 from .closing import (
     CloseFailure,
-    RotatedPathRecord,
     SearchResult,
     SegmentDecomposition,
     TauSequence,
@@ -84,7 +82,6 @@ from .closing import (
     decompose,
     find_hamilton_cycle,
     select_sigma0,
-    tau_sequences_of,
     unbroken_segments,
 )
 from .applications import (

@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .graph import (
     Cycle,
@@ -107,31 +106,18 @@ def decompose(path, rho, protected_edge=None):
     return SegmentDecomposition(path, segments, seg_of, starts)
 
 
-class RotatedPathRecord(NamedTuple):
-    pair: tuple
-    rotations: int
-    broken_p0: frozenset  # base-path edges absent from the pair path
-    unbroken: tuple  # (segment index, reversed?, start position), by appearance
-
-
-def unbroken_segments(dec, runs, pair=None, rotations=0):
-    """Mark which segments survive intact (forward or reversed) on the path
-    that `runs` hold over the decomposed base path (see `rotation`).
+def unbroken_segments(dec, runs):
+    """The coded layout of the path that `runs` hold over the decomposed base
+    path (see `rotation`): `2*seg + reversed` for each segment that survives
+    intact, in order of appearance.
 
     A segment survives exactly when it lies inside one run; it is reversed
-    when that run is walked downwards (a one-vertex segment never is), and
-    it starts at the run's path offset plus the distance from the run's
-    start to the segment's first base position on the way, both read from
-    `dec.starts`.  The broken base edges are the ones that leave a run at
-    its upper end.  A record costs O(runs + rho), not O(n); the loop takes
-    one branch per run, on its direction.
+    when that run is walked downwards (a one-vertex segment never is).  Only
+    `dec.seg_of` and `dec.starts` are read, so a layout costs O(runs + rho),
+    not O(n); the loop takes one branch per run, on its direction.
     """
-    seq = dec.base.vertices
     seg_of, starts = dec.seg_of, dec.starts
-    last = len(seq) - 1
-    broken = []
-    found = []
-    offset = 0
+    coded = []
     for a, b in runs:
         if a <= b:
             first, final = seg_of[a], seg_of[b]
@@ -139,24 +125,16 @@ def unbroken_segments(dec, runs, pair=None, rotations=0):
                 first += 1  # the run starts inside this segment
             if starts[final + 1] > b + 1:
                 final -= 1  # the run ends inside this segment
-            if b < last:
-                broken.append(edge_key(seq[b], seq[b + 1]))
-            for i in range(first, final + 1):
-                found.append((i, False, offset - a + starts[i]))
-            offset += b - a + 1
+            coded.extend(range(2 * first, 2 * final + 1, 2))
         else:
             first, final = seg_of[b], seg_of[a]
             if starts[first] < b:
                 first += 1
             if starts[final + 1] > a + 1:
                 final -= 1
-            if a < last:
-                broken.append(edge_key(seq[a], seq[a + 1]))
-            end = offset + a + 1  # base position x is at path position end - 1 - x
             for i in range(final, first - 1, -1):
-                found.append((i, starts[i + 1] - starts[i] > 1, end - starts[i + 1]))
-            offset += a - b + 1
-    return RotatedPathRecord(pair, rotations, frozenset(broken), tuple(found))
+                coded.append(2 * i + (starts[i + 1] - starts[i] > 1))
+    return tuple(coded)
 
 
 @dataclass(frozen=True)
@@ -168,36 +146,25 @@ class TauSequence:
     def __len__(self):
         return len(self.entries)
 
-    def segment_ids(self):
-        return [seg for seg, _ in self.entries]
 
+def select_sigma0(layouts, tau, must_include=None):
+    """Pick the tau-sequence contained in the coded layouts of the most
+    distinct (a, b) pairs.
 
-def tau_sequences_of(record, tau):
-    """Every tau-sequence contained in the record (order of appearance kept)."""
-    oriented = [(seg, rev) for seg, rev, _ in record.unbroken]
-    return [TauSequence(c) for c in itertools.combinations(oriented, tau)]
-
-
-def select_sigma0(records, tau, must_include=None):
-    """Pick the tau-sequence contained in the records of the most distinct
-    (a, b) pairs.
-
-    Returns (sigma0, pair set).  A pair counts once however many of its
-    records contain the sequence, and ties go to the larger entries.  With
-    `must_include`, only sequences using that segment index are considered.
-    An entry (seg, rev) is counted as the integer 2*seg + rev, whose order
-    is the order of the tuples.  One `Counter` counts the sequences of every
-    pair, and only the winner's pair set is built, by a subsequence test on
-    each coded layout.
+    `layouts` maps each pair to a list of its coded layouts, as
+    `unbroken_segments` returns them.  Returns (sigma0, pair set).  A pair
+    counts once however many of its layouts contain the sequence, and ties
+    go to the larger entries.  With `must_include`, only sequences using that
+    segment index are considered.  An entry (seg, rev) is coded as the
+    integer 2*seg + rev, whose order is the order of the tuples.  One
+    `Counter` counts the sequences of every pair, and only the winner's pair
+    set is built, by a subsequence test on each coded layout.
     """
-    layouts = {}  # pair -> coded layouts of its records
-    for rec in records:
-        if len(rec.unbroken) < tau:
-            raise ValueError("record has fewer unbroken segments than tau")
-        layouts.setdefault(rec.pair, []).append(tuple([2 * s + r for s, r, _ in rec.unbroken]))
     combos = itertools.combinations
 
     def sequences(coded):
+        if min(map(len, coded)) < tau:
+            raise ValueError("layout has fewer unbroken segments than tau")
         seqs = combos(coded[0], tau)
         if len(coded) > 1:
             seqs = set(seqs).union(*(combos(c, tau) for c in coded[1:]))
@@ -398,17 +365,16 @@ def _pipeline_once(g, path, protected_edge, stats):
         protected_segment = dec.segment_index_of(protected_edge[0])
         if dec.segment_index_of(protected_edge[1]) != protected_segment:
             return CloseFailure("segments", "protected edge split", stats)
-    records = []
+    layouts = {}  # pair -> coded layouts
     for pair in targets.pairs():
-        r = targets.pair_rotations[pair]
-        if r > rho:
+        if targets.pair_rotations[pair] > rho:
             continue
-        rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair, rotations=r)
-        if len(rec.unbroken) >= TAU:
-            records.append(rec)
-    if not records:
+        coded = unbroken_segments(dec, targets.pair_runs[pair])
+        if len(coded) >= TAU:
+            layouts[pair] = [coded]
+    if not layouts:
         return CloseFailure("tau_sequences", "no record with tau unbroken segments", stats)
-    sigma0, pairs = select_sigma0(records, TAU, must_include=protected_segment)
+    sigma0, pairs = select_sigma0(layouts, TAU, must_include=protected_segment)
     if sigma0 is None or not pairs:
         return CloseFailure("sigma0", "no tau-sequence shared by any pair", stats)
     half1 = TauSequence(sigma0.entries[: TAU // 2])

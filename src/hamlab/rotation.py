@@ -325,13 +325,6 @@ def extend(g, path, rng=None):
     return buf.freeze()
 
 
-def is_maximal(g, path):
-    used = path.pos
-    return not any(
-        u not in used for end in (path.first, path.last) for u in g.neighbors(end)
-    )
-
-
 @dataclass
 class EndpointFamily:
     """Layered endpoint sets S_0..S_t with replayable rotation chains; the

@@ -41,7 +41,7 @@ from hamlab import (
     validate_path,
     SpannedGraph,
 )
-from hamlab.closing import decompose, select_sigma0, tau_sequences_of, unbroken_segments
+from hamlab.closing import decompose, select_sigma0, unbroken_segments
 from hamlab.rotation import double_rotation_targets, rotated_runs
 
 
@@ -160,10 +160,11 @@ def test_criterion_4_tau_sequence_counting():
             i = rng.choice(pivots)
             cur, _ = rotate(g, cur, i)
             runs = rotated_runs(runs, i)
-        rec = unbroken_segments(dec, runs, pair=(cur.first, cur.last))
-        u = len(rec.unbroken)
+        layout = unbroken_segments(dec, runs)
+        u = len(layout)
+        assert len(set(c >> 1 for c in layout)) == u  # a segment appears once
         for tau in range(1, min(u, 4) + 1):
-            assert len(tau_sequences_of(rec, tau)) == math.comb(u, tau)
+            assert len(set(itertools.combinations(layout, tau))) == math.comb(u, tau)
         records += 1
 
     # select_sigma0 vs full enumeration over ordered oriented sequences
@@ -177,26 +178,26 @@ def test_criterion_4_tau_sequence_counting():
             continue
         targets = double_rotation_targets(g, p, a_cap=4, total_target=6)
         dec = decompose(p, rho)
-        recs = []
+        layouts = {}
         for pair in targets.pairs():
             if targets.pair_rotations[pair] > rho:
                 continue
-            rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair)
-            if len(rec.unbroken) >= 2:
-                recs.append(rec)
-        if len(recs) < 2:
+            layout = unbroken_segments(dec, targets.pair_runs[pair])
+            if len(layout) >= 2:
+                layouts[pair] = [layout]
+        if len(layouts) < 2:
             continue
-        _, pairs = select_sigma0(recs, 2)
+        _, pairs = select_sigma0(layouts, 2)
         best = 0
         for perm in itertools.permutations(range(len(dec.segments)), 2):
             for orient in itertools.product((False, True), repeat=2):
                 sigma = tuple(zip(perm, orient))
                 hits = set()
-                for rec in recs:
-                    oriented = [(s, r) for s, r, _ in rec.unbroken]
+                for pair, (layout,) in layouts.items():
+                    oriented = [(c >> 1, bool(c & 1)) for c in layout]
                     it = iter(oriented)
                     if all(entry in it for entry in sigma):
-                        hits.add(rec.pair)
+                        hits.add(pair)
                 best = max(best, len(hits))
         assert len(pairs) == best
         matched += 1

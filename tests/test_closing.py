@@ -34,7 +34,6 @@ from hamlab import (
     replay_chain,
     rotate,
     select_sigma0,
-    tau_sequences_of,
     unbroken_segments,
     validate_cycle,
     validate_path,
@@ -64,10 +63,8 @@ def test_decompose_protected_edge():
 def test_unbroken_segments_zero_rotations():
     p = Path(range(12))
     dec = decompose(p, 3)
-    rec = unbroken_segments(dec, ((0, 11),), pair=(0, 11), rotations=0)
-    assert len(rec.unbroken) == 6
-    assert all(not rev for _, rev, _ in rec.unbroken)
-    assert rec.broken_p0 == frozenset()
+    # one run: every segment forward, no base edge broken
+    assert unbroken_segments(dec, ((0, 11),)) == (0, 2, 4, 6, 8, 10)
 
 
 def test_unbroken_segments_one_rotation():
@@ -75,12 +72,10 @@ def test_unbroken_segments_one_rotation():
     p = Path(range(12))
     dec = decompose(p, 3)
     rotated = ((0, 5), (11, 6))  # 0..5 then 11 down to 6: pivot 5, broke (5,6)
-    rec = unbroken_segments(dec, rotated, pair=(0, 6), rotations=1)
-    assert rec.broken_p0 == frozenset({(5, 6)})
-    # segments of the base: (0,1)(2,3)(4,5)(6,7)(8,9)(10,11) all survive
-    assert len(rec.unbroken) == 6
-    revs = {seg: rev for seg, rev, _ in rec.unbroken}
-    assert revs[0] is False and revs[3] is True and revs[5] is True
+    assert rotated == rotated_runs(((0, 11),), 5)
+    # segments of the base: (0,1)(2,3)(4,5)(6,7)(8,9)(10,11) all survive, the
+    # last three reversed and in descending order
+    assert unbroken_segments(dec, rotated) == (0, 2, 4, 11, 9, 7)
 
 
 def test_unbroken_count_bound():
@@ -107,9 +102,9 @@ def test_unbroken_count_bound():
             cur, _ = rotate(g, cur, i)
             runs = rotated_runs(runs, i)
             rotations += 1
-        rec = unbroken_segments(dec, runs, pair=(cur.first, cur.last), rotations=rotations)
-        assert len(rec.broken_p0) <= rotations
-        assert len(rec.unbroken) >= 2 * rho - rotations
+        # one broken base edge per run boundary
+        assert len(runs) - 1 <= rotations
+        assert len(unbroken_segments(dec, runs)) >= 2 * rho - rotations
 
 
 def test_tau_sequence_counts_match_binomial():
@@ -134,15 +129,16 @@ def test_tau_sequence_counts_match_binomial():
             i = rng.choice(pivots)
             cur, _ = rotate(g, cur, i)
             runs = rotated_runs(runs, i)
-        rec = unbroken_segments(dec, runs)
-        u = len(rec.unbroken)
+        layout = unbroken_segments(dec, runs)
+        u = len(layout)
+        assert len(set(c >> 1 for c in layout)) == u  # a segment appears once
         for tau in range(1, min(u, 3) + 1):
-            seqs = tau_sequences_of(rec, tau)
+            seqs = list(itertools.combinations(layout, tau))
             assert len(seqs) == math.comb(u, tau)
-            assert len(set(s.entries for s in seqs)) == len(seqs)
+            assert len(set(seqs)) == len(seqs)
 
 
-def brute_force_sigma0(records, tau, dec):
+def brute_force_sigma0(layouts, tau, dec):
     """Max |L(sigma)| over all 2^tau * (2rho)_tau ordered oriented sequences."""
     seg_ids = range(len(dec.segments))
     best = 0
@@ -150,16 +146,16 @@ def brute_force_sigma0(records, tau, dec):
         for orient in itertools.product((False, True), repeat=tau):
             sigma = tuple(zip(perm, orient))
             pairs = {
-                rec.pair
-                for rec in records
-                if _contains(rec, sigma)
+                pair
+                for pair, codes in layouts.items()
+                if any(_contains(c, sigma) for c in codes)
             }
             best = max(best, len(pairs))
     return best
 
 
-def _contains(rec, sigma):
-    oriented = [(seg, rev) for seg, rev, _ in rec.unbroken]
+def _contains(layout, sigma):
+    oriented = [(c >> 1, bool(c & 1)) for c in layout]
     it = iter(oriented)
     return all(entry in it for entry in sigma)
 
@@ -178,19 +174,19 @@ def test_select_sigma0_matches_full_enumeration():
             continue
         targets = double_rotation_targets(g, p, a_cap=4, total_target=6)
         dec = decompose(p, rho)
-        records = []
+        layouts = {}
         for pair in targets.pairs():
             if targets.pair_rotations[pair] > rho:
                 continue
-            rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair)
-            if len(rec.unbroken) >= 2:
-                records.append(rec)
-        if len(records) < 2:
+            layout = unbroken_segments(dec, targets.pair_runs[pair])
+            if len(layout) >= 2:
+                layouts[pair] = [layout]
+        if len(layouts) < 2:
             continue
-        sigma0, pairs = select_sigma0(records, 2)
-        assert len(pairs) == brute_force_sigma0(records, 2, dec)
+        sigma0, pairs = select_sigma0(layouts, 2)
+        assert len(pairs) == brute_force_sigma0(layouts, 2, dec)
         # averaging guarantee: the best sequence beats the mean load
-        total = sum(math.comb(len(r.unbroken), 2) for r in records)
+        total = sum(math.comb(len(c), 2) for (c,) in layouts.values())
         denom = 4 * (2 * rho) * (2 * rho - 1)
         assert len(pairs) >= total / denom
         done += 1
@@ -200,19 +196,19 @@ def test_select_sigma0_matches_full_enumeration():
 def test_select_sigma0_single_record():
     p = Path(range(8))
     dec = decompose(p, 2)
-    rec = unbroken_segments(dec, ((0, 7),), pair=(0, 7))
-    sigma0, pairs = select_sigma0([rec], 2)
+    layouts = {(0, 7): [unbroken_segments(dec, ((0, 7),))]}
+    sigma0, pairs = select_sigma0(layouts, 2)
     assert pairs == {(0, 7)}
     with pytest.raises(ValueError):
-        select_sigma0([rec], 5)
+        select_sigma0(layouts, 5)
 
 
 def test_select_sigma0_identical_records():
     # identical layouts under distinct pairs: the chosen sequence covers all
     p = Path(range(8))
     dec = decompose(p, 2)
-    records = [unbroken_segments(dec, ((0, 7),), pair=(0, i)) for i in range(1, 5)]
-    _, pairs = select_sigma0(records, 2)
+    layouts = {(0, i): [unbroken_segments(dec, ((0, 7),))] for i in range(1, 5)}
+    _, pairs = select_sigma0(layouts, 2)
     assert pairs == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
 
@@ -270,15 +266,14 @@ def _model_lifts(g):
         return []
     rho = min(max(1, max(targets.pair_rotations.values())), len(path) // 2)
     dec = decompose(path, rho)
-    records = []
+    layouts = {}
     for pair in targets.pairs():
-        r = targets.pair_rotations[pair]
-        if r > rho:
+        if targets.pair_rotations[pair] > rho:
             continue
-        rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair, rotations=r)
-        if len(rec.unbroken) >= closing.TAU:
-            records.append(rec)
-    sigma0, pairs = select_sigma0(records, closing.TAU)
+        layout = unbroken_segments(dec, targets.pair_runs[pair])
+        if len(layout) >= closing.TAU:
+            layouts[pair] = [layout]
+    sigma0, pairs = select_sigma0(layouts, closing.TAU)
     if sigma0 is None:
         return []
     half = closing.TAU // 2

@@ -390,6 +390,17 @@ def test_f_connected_examples():
     assert check_f_connected(complete(4), FConnSpec.constant(2)).holds  # vacuous
 
 
+def test_f_connected_is_bounded_by_the_work_budget(monkeypatch):
+    """The subset walk decides by its budget, not by a size cap: C_19 walks
+    all 2^18 - 1 sides of size <= 9 and holds, while C_40 would need more
+    than the default 1e8 inspections and is refused before walking."""
+    monkeypatch.delenv("HAMLAB_WORK_BUDGET", raising=False)
+    rep = check_f_connected(cycle_graph(19), FConnSpec.constant(2))
+    assert rep.holds and rep.work == 2**18 - 1
+    with pytest.raises(WorkBudgetExceeded, match="f-connectivity"):
+        check_f_connected(cycle_graph(40), FConnSpec.constant(2))
+
+
 def test_f_connected_agrees_with_naive():
     rng = random.Random(31)
     fns = [FConnSpec.constant(1), FConnSpec.constant(2), FConnSpec.affine(1, 0)]

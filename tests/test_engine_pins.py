@@ -6,7 +6,8 @@ layered endpoint-family loops; the heuristic-search values were recorded from
 the loop that rebuilt a frozen `Path` for every rotation, extension and
 reversal; the segment-record and sigma0 values were recorded from the
 record stage that rebuilt every record from the whole pair path and counted
-every tau-sequence of every record; the one-segment model values were
+every tau-sequence of every record, and the coded-layout digest by coding
+the records of the stage that still built one record per pair; the one-segment model values were
 recorded from the model builder that still linked the runs of multi-segment
 halves by contracted connectors; the `capped`, `keep_all` and `guarded` family
 values were recorded from the family builder that still took a layer cap, a
@@ -514,28 +515,34 @@ def test_protected_heuristic_pins(monkeypatch):
 # close_proof_faithful: the segment records and the sigma0 choice
 
 
-def _record_view(rec):
-    unbroken = [list(u) for u in rec.unbroken]
-    return [list(rec.pair), rec.rotations, sorted(rec.broken_p0), unbroken]
-
-
 def _sigma0_view(sigma0, pairs):
     entries = [list(e) for e in sigma0.entries] if sigma0 is not None else None
     return {"sigma0": entries, "pairs": _digest(sorted(pairs))}
 
 
 def observe_pipeline_records(monkeypatch):
-    """Run `close_proof_faithful` with the record stage logged: every record
-    `unbroken_segments` returns, and for every `select_sigma0` call the choice
+    """Run `close_proof_faithful` with the record stage logged: every coded
+    layout `unbroken_segments` returns, with the pair whose runs it read and
+    that pair's rotation count, and for every `select_sigma0` call the choice
     with `must_include` unset and with the protected segment (or segment 0)."""
-    records = _record_calls(monkeypatch, closing, "unbroken_segments")
+    targets_log = _record_calls(monkeypatch, closing, "double_rotation_targets")
+    real_unbroken = closing.unbroken_segments
     real_select = closing.select_sigma0
+    records = []
     rounds = []
 
-    def select(recs, tau, must_include=None):
-        rounds.append((list(recs), tau, must_include))
-        return real_select(recs, tau, must_include=must_include)
+    def unbroken(dec, runs):
+        targets = targets_log[-1][1]
+        pair = next(p for p, r in targets.pair_runs.items() if r is runs)
+        layout = real_unbroken(dec, runs)
+        records.append((pair, targets.pair_rotations[pair], layout))
+        return layout
 
+    def select(layouts, tau, must_include=None):
+        rounds.append(({p: list(c) for p, c in layouts.items()}, tau, must_include))
+        return real_select(layouts, tau, must_include=must_include)
+
+    monkeypatch.setattr(closing, "unbroken_segments", unbroken)
     monkeypatch.setattr(closing, "select_sigma0", select)
     out = {}
     for name, n, c, seed, protect in (
@@ -552,27 +559,27 @@ def observe_pipeline_records(monkeypatch):
         rounds.clear()
         res = closing.close_proof_faithful(g, p, protected_edge=protected)
         choices = []
-        for recs, tau, must in rounds:
+        for layouts, tau, must in rounds:
             choices.append({
-                "records": len(recs),
-                "unset": _sigma0_view(*real_select(recs, tau)),
+                "records": sum(map(len, layouts.values())),
+                "unset": _sigma0_view(*real_select(layouts, tau)),
                 "protected_segment": must,
                 "must_include": _sigma0_view(
-                    *real_select(recs, tau, must_include=0 if must is None else must)
+                    *real_select(layouts, tau, must_include=0 if must is None else must)
                 ),
             })
         out[name] = {
             "outcome": type(res).__name__,
             "records": len(records),
-            "record_digest": _digest([_record_view(rec) for _, rec in records]),
-            "rotations": sorted({rec.rotations for _, rec in records}),
+            "record_digest": _digest([[list(p), list(c)] for p, _, c in records]),
+            "rotations": sorted({r for _, r, _ in records}),
             "sigma0": choices,
         }
     return out
 
 
 EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
-           'record_digest': 'a6c232d7e2c318ef',
+           'record_digest': '35976944a7a48f97',
            'records': 562,
            'rotations': [1, 2, 3, 4],
            'sigma0': [{'must_include': {'pairs': '01737988ebfb81ae',
@@ -588,7 +595,7 @@ EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
                        'unset': {'pairs': '6c81a654dd092d2f',
                                  'sigma0': [[0, False], [1, False]]}}]},
  'gnp50_protected': {'outcome': 'Cycle',
-                     'record_digest': '25278126ca56858f',
+                     'record_digest': '86d773d75e1dd4c3',
                      'records': 900,
                      'rotations': [1, 2, 3, 4],
                      'sigma0': [{'must_include': {'pairs': '5d7473dd6c26b630',
@@ -610,7 +617,7 @@ EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
                                  'unset': {'pairs': '9257abb70e84ed30',
                                            'sigma0': [[4, False], [5, False]]}}]},
  'gnp50_sparse': {'outcome': 'CloseFailure',
-                  'record_digest': 'bff811a07491d919',
+                  'record_digest': 'a779bf3c47b3764d',
                   'records': 255,
                   'rotations': [1, 2, 3, 4, 5],
                   'sigma0': [{'must_include': {'pairs': '5b6ce0216dd1a095',
@@ -620,7 +627,7 @@ EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
                               'unset': {'pairs': 'f7e0f5be5d7bc619',
                                         'sigma0': [[8, False], [9, False]]}}]},
  'gnp60': {'outcome': 'Cycle',
-           'record_digest': '9bdb4af21d8dc274',
+           'record_digest': 'e3c897af0c4311b0',
            'records': 300,
            'rotations': [1, 2, 3, 4],
            'sigma0': [{'must_include': {'pairs': 'f74c094f09f4e7ad',

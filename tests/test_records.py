@@ -1,14 +1,16 @@
-"""Runs and the segment records read from them, against whole paths: along
+"""Runs and the coded layouts read from them, against whole paths: along
 random rotation chains the runs track `rotate` and `Path.reversed`, map each
 base position to its path position and to the base position after it on the
-path, and stay maximal, and the record read from the runs equals the record
-the whole-path computation gives; every pair of a real double rotation
-gives that record too, and a family's rebuilt paths equal its replayed
+path, and stay maximal, and the coded layout read from the runs equals the
+one the whole-path computation gives; every pair of a real double rotation
+gives that layout too, and a family's rebuilt paths equal its replayed
 chains; the runs the families hand over equal their chains folded; the
-sigma0 choice counted on coded entries equals the one made by enumerating
-every record's tau-sequences."""
+sigma0 choice counted on coded layouts equals the one made by enumerating
+every layout's tau-sequences."""
 
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -18,12 +20,12 @@ from hypothesis import strategies as st
 from hamlab import (
     Graph,
     Path,
-    RotatedPathRecord,
     decompose,
     double_rotation_targets,
     edge_key,
     endpoint_family,
     extend,
+    gnp,
     reconstruct_path,
     replay_chain,
     rotate,
@@ -36,8 +38,10 @@ from hamlab.rotation import chain_runs, rotated_runs, run_successor, runs_path
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def reference_unbroken_segments(dec, path, pair=None, rotations=0):
-    """The record stage that rebuilt the edge set of the whole path."""
+def reference_unbroken_segments(dec, path):
+    """The record stage that rebuilt the edge set of the whole path: the
+    broken base edges, and the (segment, reversed?, start position) entries
+    of the unbroken segments in order of appearance."""
     pos = path.pos
     present = set()
     seq = path.vertices
@@ -62,21 +66,26 @@ def reference_unbroken_segments(dec, path, pair=None, rotations=0):
             continue
         found.append((idx, step < 0, min(positions[0], positions[-1])))
     found.sort(key=lambda item: item[2])
-    return RotatedPathRecord(pair, rotations, broken, tuple(found))
+    return broken, tuple(found)
 
 
-def reference_select_sigma0(records, tau, must_include=None):
-    """The sigma0 choice that enumerated the tau-sequences of every record."""
+def coded(found):
+    """The coded layout of reference entries: 2*seg + reversed."""
+    return tuple(2 * seg + rev for seg, rev, _ in found)
+
+
+def reference_select_sigma0(layouts, tau, must_include=None):
+    """The sigma0 choice that enumerated the tau-sequences of every layout."""
     counts = {}
-    for rec in records:
-        if len(rec.unbroken) < tau:
-            raise ValueError("record has fewer unbroken segments than tau")
-        oriented = [(seg, rev) for seg, rev, _ in rec.unbroken]
-        for entries in itertools.combinations(oriented, tau):
-            seq = TauSequence(entries)
-            if must_include is not None and must_include not in seq.segment_ids():
-                continue
-            counts.setdefault(seq.entries, set()).add(rec.pair)
+    for pair, codes in layouts.items():
+        for layout in codes:
+            if len(layout) < tau:
+                raise ValueError("layout has fewer unbroken segments than tau")
+            oriented = [(c >> 1, bool(c & 1)) for c in layout]
+            for entries in itertools.combinations(oriented, tau):
+                if must_include is not None and must_include not in [s for s, _ in entries]:
+                    continue
+                counts.setdefault(entries, set()).add(pair)
     if not counts:
         return None, set()
     best = max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
@@ -170,27 +179,31 @@ MOVES = st.lists(
 def test_chain_records_equal_the_whole_path_records(case, chains, data):
     g, p, rho, protected = case
     dec = decompose(p, rho, protected_edge=protected)
-    records = []
+    layouts = {}
     for k, moves in enumerate(chains):
         cur, runs, steps = rotation_chain(g, p, protected, moves)
         pair = (cur.first, cur.last) if k % 2 else (k, cur.last)
-        expected = reference_unbroken_segments(dec, cur, pair=pair, rotations=len(steps))
-        assert unbroken_segments(dec, runs, pair=pair, rotations=len(steps)) == expected
-        assert len(expected.broken_p0) <= len(steps)
-        records.append(expected)
+        broken, found = reference_unbroken_segments(dec, cur)
+        assert unbroken_segments(dec, runs) == coded(found)
+        # a run boundary breaks exactly one base edge, and a rotation makes at most one
+        assert len(broken) == len(runs) - 1 <= len(steps)
+        layouts.setdefault(pair, []).append(coded(found))
 
     tau = data.draw(st.integers(1, 3))
     segment = data.draw(st.integers(0, dec.count - 1))
     protected_segment = dec.segment_index_of(protected[0]) if protected else None
     for must in (None, segment, protected_segment):
-        if any(len(rec.unbroken) < tau for rec in records):
+        if any(len(c) < tau for codes in layouts.values() for c in codes):
             with pytest.raises(ValueError):
-                select_sigma0(records, tau, must_include=must)
+                select_sigma0(layouts, tau, must_include=must)
             with pytest.raises(ValueError):
-                reference_select_sigma0(records, tau, must_include=must)
-            kept = [rec for rec in records if len(rec.unbroken) >= tau]
+                reference_select_sigma0(layouts, tau, must_include=must)
+            kept = {}
+            for pair, codes in layouts.items():
+                if any(len(c) >= tau for c in codes):
+                    kept[pair] = [c for c in codes if len(c) >= tau]
         else:
-            kept = records
+            kept = layouts
         assert select_sigma0(kept, tau, must) == reference_select_sigma0(kept, tau, must)
 
 
@@ -205,13 +218,39 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
     for pair in targets.pairs():
         ppath = targets.pair_path(pair)
         assert (ppath.first, ppath.last) == pair
-        r = targets.pair_rotations[pair]
-        rec = unbroken_segments(dec, targets.pair_runs[pair], pair=pair, rotations=r)
-        assert rec == reference_unbroken_segments(dec, ppath, pair=pair, rotations=r)
-        assert len(rec.broken_p0) <= r
+        runs = targets.pair_runs[pair]
+        broken, found = reference_unbroken_segments(dec, ppath)
+        assert unbroken_segments(dec, runs) == coded(found)
+        assert len(broken) == len(runs) - 1 <= targets.pair_rotations[pair]
     fam = endpoint_family(g, p, total_target=total_target, protected_edge=protected)
     for v in fam.chains:
         assert reconstruct_path(fam, v) == replay_chain(g, p, fam.chain_steps(v))
+
+
+class Untouchable:
+    """Stands in for a vertex tuple that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"read [{key}]")
+
+
+def test_layouts_read_no_vertex_tuple():
+    """The record stage reads only `seg_of` and `starts`: with the base path
+    and the segments unreadable it still gives every pair's layout, so it
+    touches no vertex tuple and builds no edge key."""
+    g = gnp(60, 5 * math.log(60) / 60, seed="layouts:blind")
+    p = extend(g, Path((0,)))
+    targets = double_rotation_targets(g, p, a_cap=4)
+    assert len(targets.pairs()) > 10
+    for rho in (1, 3, len(p) // 2):
+        dec = decompose(p, rho)
+        blind = dataclasses.replace(dec, base=Untouchable(), segments=Untouchable())
+        for pair in targets.pairs():
+            _, found = reference_unbroken_segments(dec, targets.pair_path(pair))
+            assert unbroken_segments(blind, targets.pair_runs[pair]) == coded(found)
 
 
 def refold(base, runs, step):
@@ -251,9 +290,16 @@ def test_families_hand_over_the_runs_of_their_chains(case, total_target):
 
 
 def record(pair, layout):
-    """A record whose unbroken segments are `layout`, (seg, rev) entries."""
-    unbroken = tuple((seg, rev, k) for k, (seg, rev) in enumerate(layout))
-    return RotatedPathRecord(pair, 1, frozenset(), unbroken)
+    """A pair and its coded layout, given as (seg, rev) entries."""
+    return pair, tuple(2 * seg + rev for seg, rev in layout)
+
+
+def by_pair(records):
+    """The pair -> coded layouts map `select_sigma0` takes, layouts in order."""
+    layouts = {}
+    for pair, layout in records:
+        layouts.setdefault(pair, []).append(layout)
+    return layouts
 
 
 F, R = False, True
@@ -262,7 +308,7 @@ F, R = False, True
 @pytest.mark.parametrize(
     "records, tau, must, want",
     [
-        # a pair with several records counts once: three records of (0, 1)
+        # a pair with several layouts counts once: three layouts of (0, 1)
         # hold ((0, F), (1, F)), but two pairs hold ((2, F), (3, F))
         (
             [record((0, 1), [(0, F), (1, F)]), record((0, 1), [(0, F), (1, F), (4, F)]),
@@ -292,7 +338,7 @@ F, R = False, True
          1, None, (((1, R),), {(0, 2)})),
         ([record((0, 1), [(1, F), (4, R)]), record((0, 2), [(1, R), (4, R)])],
          1, 1, (((1, R),), {(0, 2)})),
-        # a pair holds the winner only in a later record, and not contiguously
+        # a pair holds the winner only in a later layout, and not contiguously
         # there; the same segments out of order or with another flag do not
         (
             [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(2, F), (3, F)]),
@@ -301,7 +347,7 @@ F, R = False, True
             2, None, (((2, F), (3, F)), {(0, 1), (0, 2)}),
         ),
         # the same with must_include: the unfiltered winner ((1, F), (4, F))
-        # is held by three pairs, (0, 1) only in its second record, and the
+        # is held by three pairs, (0, 1) only in its second layout, and the
         # filtered one by (0, 1) only in its third
         *(
             (
@@ -320,8 +366,9 @@ F, R = False, True
     ],
 )
 def test_select_sigma0_edge_cases(records, tau, must, want):
-    sigma0, pairs = select_sigma0(records, tau, must_include=must)
-    assert (sigma0, pairs) == reference_select_sigma0(records, tau, must_include=must)
+    layouts = by_pair(records)
+    sigma0, pairs = select_sigma0(layouts, tau, must_include=must)
+    assert (sigma0, pairs) == reference_select_sigma0(layouts, tau, must_include=must)
     entries, want_pairs = want
     assert pairs == want_pairs
     if entries is None:
