@@ -1,7 +1,8 @@
 """Checkers for the expansion / joined hypotheses and their scalar calculators.
 
-Exact checks enumerate candidate sets inside a work budget (default 1e8 subset
-inspections, overridable via the HAMLAB_WORK_BUDGET environment variable).
+Exact checks enumerate candidate sets inside a work budget (`graph.work_budget`:
+default 1e8 subset inspections, overridable via the HAMLAB_WORK_BUDGET
+environment variable).
 Sampled mode only ever refutes: it reports `fails` with a witness or
 `indeterminate`, never `holds`.  The P1/P2 and f-connectivity checks walk
 their candidate sets with one walker, counting neighbourhoods with adjacency
@@ -14,54 +15,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .graph import (
-    SoundnessError, adjacency_masks, bfs_distances, neighborhood, neighborhood_mask
+    SoundnessError, WorkBudgetExceeded, adjacency_masks, bfs_distances, neighborhood,
+    neighborhood_mask, work_budget,
 )
-
-DEFAULT_WORK_BUDGET = 10**8
-
-
-class WorkBudgetExceeded(RuntimeError):
-    """An exact enumeration would exceed (or did exceed) the work budget."""
-
-
-def work_budget(explicit=None):
-    """The explicit budget, else HAMLAB_WORK_BUDGET, else the default.
-
-    The variable takes a non-negative integer, also in float notation with an
-    integral value such as 1e8; anything else raises ValueError.
-    """
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("HAMLAB_WORK_BUDGET")
-    if env:
-        value = _integral(env)
-        if value is None or value < 0:
-            raise ValueError(
-                f"HAMLAB_WORK_BUDGET must be a non-negative integer such as "
-                f"100000000 or 1e8, got {env!r}"
-            )
-        return value
-    return DEFAULT_WORK_BUDGET
-
-
-def _integral(text):
-    """The integer `text` spells, directly or as an integral float, or None."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        number = float(text)
-    except ValueError:
-        return None
-    return int(number) if number.is_integer() else None
-
 
 HOLDS = "holds"
 FAILS = "fails"

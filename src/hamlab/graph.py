@@ -7,6 +7,7 @@ Vertices are dense integers 0..n-1.  All seeded generators use Python's
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -19,6 +20,47 @@ class SoundnessError(AssertionError):
     """A search built a path or cycle that fails its own validation.
 
     Raised explicitly, so the check still runs under `python -O`."""
+
+
+DEFAULT_WORK_BUDGET = 10**8
+
+
+class WorkBudgetExceeded(RuntimeError):
+    """An exact enumeration or a rejection loop would exceed (or did exceed)
+    the work budget."""
+
+
+def work_budget(explicit=None):
+    """The explicit budget, else HAMLAB_WORK_BUDGET, else the default.
+
+    The variable takes a non-negative integer, also in float notation with an
+    integral value such as 1e8; anything else raises ValueError.
+    """
+    if explicit is not None:
+        return explicit
+    env = os.environ.get("HAMLAB_WORK_BUDGET")
+    if env:
+        value = _integral(env)
+        if value is None or value < 0:
+            raise ValueError(
+                f"HAMLAB_WORK_BUDGET must be a non-negative integer such as "
+                f"100000000 or 1e8, got {env!r}"
+            )
+        return value
+    return DEFAULT_WORK_BUDGET
+
+
+def _integral(text):
+    """The integer `text` spells, directly or as an integral float, or None."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    return int(number) if number.is_integer() else None
 
 
 def edge_key(u, v):
@@ -336,13 +378,18 @@ def gnp(n, p, seed=0):
 
 
 def random_regular(n, d, seed=0):
-    """Pairing (configuration) model with rejection of loops and multi-edges."""
+    """Pairing (configuration) model with rejection of loops and multi-edges.
+
+    Each attempt draws n * d stubs; when the next attempt would take the
+    draws past `work_budget()`, WorkBudgetExceeded is raised instead."""
     if d < 0 or d >= n:
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
     rng = random.Random(f"random_regular:{seed}")
-    while True:
+    budget = work_budget()
+    attempts = budget // (n * d) if d else 1
+    for _ in range(attempts):
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
@@ -358,6 +405,10 @@ def random_regular(n, d, seed=0):
             edges.add(e)
         if ok:
             return Graph(n, edges)
+    raise WorkBudgetExceeded(
+        f"random_regular({n}, {d}) drew no simple pairing in {attempts} attempts; "
+        f"one more would pass the work budget of {budget} stub draws"
+    )
 
 
 def clique_plus_isolated(clique_size, isolated_count):

@@ -98,6 +98,92 @@ def test_hamilton_path_oracle():
     assert not hamilton_connected_oracle(cycle_graph(6))
 
 
+# Witnesses of the three exact oracles, recorded before the subset DP moved
+# from a 2^n table to one bit column per end vertex: the cycle, the u-v paths
+# for (0, n - 1) and (n // 2, 1) (None when there is none) and the
+# Hamilton-connectivity verdict, per seeded gnp graph.
+EXPECTED_ORACLE_WITNESSES = {
+    (12, 0.5, "oracle-pin:1"): (
+        (0, 11, 10, 7, 5, 9, 8, 1, 6, 4, 2, 3),
+        [
+            (0, 3, 2, 10, 7, 4, 8, 9, 6, 5, 1, 11),
+            (6, 9, 8, 10, 11, 0, 3, 2, 4, 7, 5, 1),
+        ],
+        True,
+    ),
+    (13, 0.2, "oracle-pin:neg:13:51"): (
+        None,
+        [None, None],
+        False,
+    ),
+    (14, 0.35, "oracle-pin:3"): (
+        (0, 12, 7, 13, 9, 10, 5, 2, 3, 11, 8, 6, 4, 1),
+        [None, (7, 12, 13, 4, 6, 11, 8, 10, 9, 5, 2, 3, 0, 1)],
+        False,
+    ),
+    (15, 0.3, "oracle-pin:4"): (
+        None,
+        [None, None],
+        False,
+    ),
+    (15, 0.6, "oracle-pin:5"): (
+        (0, 11, 13, 12, 14, 8, 7, 9, 6, 5, 10, 4, 3, 2, 1),
+        [
+            (0, 8, 7, 11, 9, 6, 13, 12, 5, 10, 4, 3, 2, 1, 14),
+            (7, 11, 9, 6, 13, 12, 14, 8, 10, 4, 3, 2, 5, 0, 1),
+        ],
+        True,
+    ),
+    (16, 0.2, "oracle-pin:neg:16:3"): (
+        None,
+        [(0, 13, 6, 10, 14, 1, 3, 11, 4, 9, 5, 12, 2, 8, 7, 15), None],
+        False,
+    ),
+    (17, 0.4, "oracle-pin:7"): (
+        (0, 13, 14, 16, 15, 11, 12, 7, 9, 3, 10, 8, 6, 2, 5, 4, 1),
+        [
+            (0, 11, 3, 10, 7, 9, 15, 6, 8, 5, 12, 14, 2, 13, 1, 4, 16),
+            (8, 6, 15, 7, 10, 16, 14, 13, 12, 11, 4, 5, 2, 9, 3, 0, 1),
+        ],
+        True,
+    ),
+    (18, 0.22, "oracle-pin:8"): (
+        (0, 12, 11, 13, 5, 17, 7, 15, 10, 3, 14, 16, 9, 8, 6, 1, 2, 4),
+        [
+            (0, 10, 7, 15, 9, 16, 14, 3, 12, 11, 8, 6, 4, 2, 1, 13, 5, 17),
+            (9, 16, 14, 3, 15, 7, 17, 5, 13, 12, 11, 8, 6, 10, 0, 4, 2, 1),
+        ],
+        False,
+    ),
+    (19, 0.2, "oracle-pin:neg:19:11"): (
+        None,
+        [None, None],
+        False,
+    ),
+    (20, 0.5, "oracle-pin:9"): (
+        (0, 14, 16, 15, 17, 19, 13, 10, 7, 9, 12, 8, 6, 18, 5, 4, 1, 11, 2, 3),
+        [
+            (0, 18, 15, 17, 14, 16, 12, 9, 13, 7, 10, 6, 8, 3, 2, 11, 5, 4, 1, 19),
+            (10, 17, 14, 16, 15, 19, 13, 7, 9, 12, 8, 6, 18, 5, 11, 2, 3, 0, 4, 1),
+        ],
+        True,
+    ),
+}
+
+
+def test_oracle_witness_pins():
+    for (n, p, seed), (cycle, paths, connected) in EXPECTED_ORACLE_WITNESSES.items():
+        g = gnp(n, p, seed=seed)
+        ok, cyc = hamiltonian_oracle(g)
+        assert (cyc.vertices if ok else None) == cycle
+        got = []
+        for u, v in ((0, n - 1), (n // 2, 1)):
+            ok, path = hamilton_path_oracle(g, u, v)
+            got.append(path.vertices if ok else None)
+        assert got == paths
+        assert hamilton_connected_oracle(g) == connected
+
+
 def test_oracles_refuse_graphs_over_the_cap(monkeypatch):
     # the refusal must come before the subset DP builds its 2^n table
     def no_dp(*args):
@@ -142,11 +228,18 @@ def naive_dp_paths_from(g, start):
 def test_subset_dp_table_matches_the_definition():
     rng = random.Random(4242)
     for i in range(60):
-        n = rng.randint(1, 10)
+        n = rng.randint(1, 12)
         g = gnp(n, rng.uniform(0.1, 0.9), seed=f"dp:{i}")
         start = rng.randrange(n)
-        dp, _ = applications._dp_paths_from(g, start)
-        assert list(dp) == naive_dp_paths_from(g, start)
+        cols, _ = applications._dp_paths_from(g, start)
+        assert len(cols) == n
+        # dp[mask] is the set of ends v whose column holds bit `mask`
+        dp = [
+            sum(1 << v for v in range(n) if cols[v] >> mask & 1)
+            for mask in range(1 << n)
+        ]
+        assert dp == naive_dp_paths_from(g, start)
+        assert all(col >> (1 << n) == 0 for col in cols)
         every_pair = all(
             hamilton_path_oracle(g, u, v)[0]
             for u in range(n)

@@ -1,9 +1,14 @@
 """Command-line harness: exit codes, determinism, golden replays."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hamlab
 from hamlab import closing
 from hamlab.cli import (
     EXIT_INDETERMINATE,
@@ -298,6 +303,22 @@ def test_env_work_budget(capsys, monkeypatch):
     assert code == EXIT_INDETERMINATE
     payload = json.loads(out)
     assert "error" in payload
+
+
+def test_gen_random_regular_stops_at_the_work_budget(monkeypatch):
+    # a subprocess, so that a rejection loop without a bound fails the test
+    # by its timeout instead of hanging the suite
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "100000")
+    src = str(pathlib.Path(hamlab.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamlab.cli", "gen", "--family", "random_regular",
+         "--n", "40", "--d", "9"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_INDETERMINATE
+    assert proc.stdout == ""
+    assert "work budget exceeded: random_regular(40, 9)" in proc.stderr
 
 
 def test_env_work_budget_float_notation(capsys, monkeypatch):

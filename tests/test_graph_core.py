@@ -1,9 +1,14 @@
 """Graph substrate: types, generators, validation, edge-list round trips."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hamlab
 from hamlab import (
     Graph,
     GraphFormatError,
@@ -207,6 +212,30 @@ def test_random_regular_degrees():
     for d, n in ((3, 20), (4, 15), (6, 24)):
         g = random_regular(n, d, seed=11)
         assert all(g.degree(v) == d for v in range(n))
+
+
+def test_random_regular_stops_at_the_work_budget(monkeypatch):
+    # at d = 9 almost every pairing holds a loop or a multi-edge, so the
+    # rejection loop must give up when its stub draws reach the budget; a
+    # subprocess, so that a loop without a bound fails the test by its
+    # timeout instead of hanging the suite
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "100000")
+    code = (
+        "from hamlab import random_regular\n"
+        "from hamlab.conditions import WorkBudgetExceeded\n"
+        "try:\n"
+        "    random_regular(40, 9, seed=0)\n"
+        "except WorkBudgetExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(hamlab.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "random_regular(40, 9)" in proc.stdout
+    assert "277 attempts" in proc.stdout
 
 
 def test_generate_dispatch():
