@@ -6,6 +6,7 @@ scale.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -321,20 +322,22 @@ def strip_nonexpanding(g, v0, cap):
     """
     v0 = set(v0)
     check_vertices(g, v0)
-    masks = adjacency_masks(g)
-    inside = sum(1 << v for v in v0)
+    window = set(v0)
+    left = {v: len(g.neighbors(v) & window) for v in v0}
+    # counts only fall, so a vertex below 2 stays below 2 until it is peeled
+    low = [v for v, nb in left.items() if nb < 2]
+    heapq.heapify(low)
     removed = set()
     trace = []
-    while len(removed) < cap:
-        for v in sorted(v0 - removed):
-            nb = (masks[v] & inside).bit_count()
-            if nb < 2:
-                removed.add(v)
-                inside ^= 1 << v
-                trace.append(([v], nb))
-                break
-        else:
-            break
+    while low and len(removed) < cap:
+        v = heapq.heappop(low)
+        removed.add(v)
+        window.discard(v)
+        trace.append(([v], left[v]))
+        for u in g.neighbors(v) & window:
+            left[u] -= 1
+            if left[u] == 1:
+                heapq.heappush(low, u)
     return StripResult(removed, v0 - removed, trace, len(removed) < cap)
 
 
@@ -358,11 +361,12 @@ def cycle_of_length_k(
     retries=20,
     budget=30000,
 ):
-    """Find a cycle of exactly k vertices: choose a window V0 of size k + n/t,
-    strip from it, one at a time and lowest id first, at most |V0| - k
-    vertices with fewer than 2 neighbours left in it (`strip_nonexpanding`),
-    then repeatedly sample k-subsets of the survivors and search the induced
-    subgraph for a Hamilton cycle with the heuristic search.
+    """Find a cycle of exactly k vertices: choose a window V0 of size k + n/t
+    (t >= 1), strip from it, one at a time and lowest id first, at most
+    |V0| - k vertices with fewer than 2 neighbours left in it
+    (`strip_nonexpanding`), then repeatedly sample k-subsets of the survivors
+    and search the induced subgraph for a Hamilton cycle with the heuristic
+    search.
 
     V0 takes the lowest identifiers by default and is sampled uniformly when a
     seed is given.  Each retry draws a fresh subset.
@@ -370,6 +374,8 @@ def cycle_of_length_k(
     n = g.n
     if not 3 <= k <= n:
         raise ValueError("need 3 <= k <= n")
+    if t < 1:
+        raise ValueError("need t >= 1")
     window = min(n, k + max(1, n // t))
     rng = random.Random(f"cycle-k:{seed}")
     if seed is None:

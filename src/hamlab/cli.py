@@ -188,7 +188,7 @@ def build_parser():
     p = sub.add_parser("cycle-k", help="cycle of exact length k")
     _add_graph_source(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, default=10)
+    p.add_argument("--t", type=int, default=10, help="window of k + n // t vertices; t >= 1")
     p.add_argument("--retries", type=int, default=20)
     p.add_argument("--budget", type=int, default=30000)
     p.add_argument("--out")

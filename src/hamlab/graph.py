@@ -85,21 +85,25 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
+        edges = list(edges)
         adj = [[] for _ in range(n)]
-        canon = []
-        append = canon.append
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                _raise_duplicate(canon)  # an earlier duplicate comes first
-                if u == v and 0 <= u < n:
-                    raise ValueError(f"self-loop at vertex {u}")
-                raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        # One pass serves input that is all (u, v) tuples with 0 <= u < v < n
+        # and no repeat, as gnp, induced and with_edge give: the caller's
+        # tuples are kept as they are.  Anything else goes through
+        # `_checked_edges`, which canonicalises and names the first bad edge.
+        edge_set = None
+        for e in edges:
+            if type(e) is not tuple:
+                break
+            u, v = e
+            if not 0 <= u < v < n:
+                break
             adj[u].append(v)
             adj[v].append(u)
-            append((u, v) if u < v else (v, u))
-        edge_set = set(canon)
-        if len(edge_set) != len(canon):
-            _raise_duplicate(canon)
+        else:
+            edge_set = set(edges)
+        if edge_set is None or len(edge_set) != len(edges):
+            adj, edge_set = _checked_edges(n, edges)
         # Copying a set built by insertion in input order reproduces the
         # iteration order of the frozensets that set-by-set adds gave; a
         # frozenset built straight from the list orders some sets differently.
@@ -127,7 +131,7 @@ class Graph:
         check_vertices(self, (u, v))
         if self.has_edge(u, v):
             return self
-        return Graph(self.n, list(self.edges) + [(u, v)])
+        return Graph(self.n, list(self.edges) + [edge_key(u, v)])
 
     def induced(self, vertices):
         """Induced subgraph on `vertices`, relabeled densely in sorted order.
@@ -167,13 +171,23 @@ def check_vertices(g, vertices):
             raise ValueError(f"vertex {v} out of range")
 
 
-def _raise_duplicate(canon):
-    """Raise for the first edge of `canon` (in order) that repeats an earlier one."""
-    seen = set()
-    for e in canon:
-        if e in seen:
+def _checked_edges(n, edges):
+    """Adjacency lists and edge set of `edges` in (min, max) form, raising
+    for the first self-loop, out-of-range vertex or repeat in input order."""
+    adj = [[] for _ in range(n)]
+    canon = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        adj[u].append(v)
+        adj[v].append(u)
+        e = edge_key(u, v)
+        if e in canon:
             raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
+        canon.add(e)
+    return adj, canon
 
 
 class Path:

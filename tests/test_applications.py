@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamlab.graph
 from hamlab import (
     FConnSpec,
+    Graph,
     Path,
     clique_plus_isolated,
     complete,
@@ -394,6 +396,28 @@ def test_strip_matches_the_definitional_walk():
     assert bound >= 15
 
 
+def test_strip_reads_only_the_window(monkeypatch):
+    g = gnp(80, 0.05, seed=4)
+    v0 = set(range(20, 60))
+    expected = naive_strip(g, v0, 30)
+    read = []
+    neighbors = Graph.neighbors
+
+    def recording_neighbors(self, v):
+        read.append(v)
+        return neighbors(self, v)
+
+    def no_masks(g):
+        raise AssertionError("strip_nonexpanding built the adjacency masks")
+
+    monkeypatch.setattr(Graph, "neighbors", recording_neighbors)
+    monkeypatch.setattr(applications, "adjacency_masks", no_masks)
+    monkeypatch.setattr(hamlab.graph, "adjacency_masks", no_masks)
+    res = strip_nonexpanding(g, v0, 30)
+    assert (res.removed, res.trace, res.certified) == expected
+    assert set(read) <= v0 and len(read) <= 2 * len(v0)
+
+
 def test_cycle_of_length_k_cliques():
     g = complete(10)
     for k in range(3, 11):
@@ -402,6 +426,9 @@ def test_cycle_of_length_k_cliques():
         assert validate_cycle(g, res.cycle.vertices)
     with pytest.raises(ValueError):
         cycle_of_length_k(g, 2)
+    for t in (0, -3):
+        with pytest.raises(ValueError, match=r"^need t >= 1$"):
+            cycle_of_length_k(g, 5, t=t)
 
 
 def test_cycle_of_length_k_chordless_cycle_fails():

@@ -118,6 +118,11 @@ def test_cycle_k_subcommand(capsys):
     )
     assert code == EXIT_OK
     assert len(out.split()) == 7
+    for t in ("0", "-3"):
+        argv = ["cycle-k", "--family", "complete", "--n", "12", "--k", "7", "--t", t]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need t >= 1\n"
 
 
 def test_pivot_audit_subcommand(capsys):

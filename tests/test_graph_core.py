@@ -72,9 +72,10 @@ def test_iteration_order_matches_reference_constructor(monkeypatch):
     init = Graph.__init__
 
     def recording_init(self, n, edges=()):
-        edges = list(edges)
-        inputs.append((n, edges))
-        init(self, n, edges)
+        listed = list(edges)
+        inputs.append((n, listed))
+        # an iterator reaches the constructor as an iterator
+        init(self, n, iter(listed) if iter(edges) is edges else listed)
 
     monkeypatch.setattr(Graph, "__init__", recording_init)
     rng = random.Random(2024)
@@ -85,7 +86,23 @@ def test_iteration_order_matches_reference_constructor(monkeypatch):
         builds.append(lambda seed=seed: random_regular(120, 3, seed=seed))
         builds.append(lambda seed=seed: random_regular(40, 4, seed=seed))
     builds += [lambda: complete(13), lambda: complete(40), petersen]
+    builds += [lambda n=n: cycle_graph(n) for n in (3, 4, 17, 60, 200)]
     base = gnp(200, 0.1, seed=5)
+    # input off the canonical-tuple fast path: reversed and mixed orientation,
+    # list pairs and a generator, each in a shuffled edge order
+    mix = random.Random(7)
+    shuffled = sorted(base.edges)
+    mix.shuffle(shuffled)
+    flips = [mix.random() < 0.5 for _ in shuffled]
+    builds.append(lambda: Graph(base.n, [(v, u) for u, v in shuffled]))
+    builds.append(
+        lambda: Graph(base.n, [(v, u) if f else (u, v) for (u, v), f in zip(shuffled, flips)])
+    )
+    builds.append(lambda: Graph(base.n, [[u, v] for u, v in shuffled]))
+    builds.append(lambda: Graph(base.n, ((u, v) for u, v in shuffled)))
+    for u in (199, 150, 73):
+        v = min(w for w in range(u) if not base.has_edge(u, w))
+        builds.append(lambda u=u, v=v: base.with_edge(u, v))
     for _ in range(4):
         keep = rng.sample(range(base.n), rng.randint(30, 150))
         builds.append(lambda keep=keep: base.induced(keep)[0])
@@ -119,15 +136,31 @@ def test_iteration_order_matches_reference_constructor(monkeypatch):
         (4, [(2, 3), (3, 2), (1, 1)], "duplicate edge (2, 3)"),
         (4, [(2, 3), (1, 1), (3, 2)], "self-loop at vertex 1"),
         (4, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 1)], "duplicate edge (1, 2)"),
+        (4, [(0, 1), (1, 2), (0, 3), (1, 2)], "duplicate edge (1, 2)"),
+        (4, [(1, 0), (2, 3), (0, 2), (3, 2)], "duplicate edge (2, 3)"),
+        (4, [(0, 1), (3, 2), (1, 2), (0, 9)], "vertex out of range in edge (0, 9)"),
+        (4, [[0, 1], [1, 2], [2, 1]], "duplicate edge (1, 2)"),
+        (4, [[0, 1], [3, 4]], "vertex out of range in edge (3, 4)"),
+        (4, [(0, 1), (0.5, 2)], "list indices must be integers or slices, not float"),
     ],
 )
 def test_graph_reports_first_bad_edge_in_input_order(n, edges, message):
-    with pytest.raises(ValueError) as ref:
+    with pytest.raises((ValueError, TypeError)) as ref:
         _reference_graph(n, edges)
     assert str(ref.value) == message
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ref.type) as exc:
         Graph(n, edges)
-    assert str(exc.value) == message
+    assert type(exc.value) is ref.type and str(exc.value) == message
+
+
+def test_canonical_tuple_edges_are_stored_as_given():
+    edges = [(u, u + 1) for u in range(9)]
+    g = Graph(10, edges)
+    assert {id(e) for e in g.edges} == {id(e) for e in edges}
+    # with_edge passes the base's tuples and the new edge in (min, max) form
+    h = g.with_edge(7, 2)
+    assert (2, 7) in h.edges
+    assert {id(e) for e in g.edges} <= {id(e) for e in h.edges}
 
 
 def test_with_edge_and_induced_reject_out_of_range_vertices():
