@@ -75,7 +75,6 @@ from .closing import (
     CloseFailure,
     SearchResult,
     SegmentDecomposition,
-    TauSequence,
     build_contracted,
     close_heuristic,
     close_proof_faithful,

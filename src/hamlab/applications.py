@@ -376,6 +376,8 @@ def cycle_of_length_k(
         raise ValueError("need 3 <= k <= n")
     if t < 1:
         raise ValueError("need t >= 1")
+    if retries < 0:
+        raise ValueError("need retries >= 0")
     window = min(n, k + max(1, n // t))
     rng = random.Random(f"cycle-k:{seed}")
     if seed is None:

@@ -393,7 +393,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = parser.parse_args(RunConfig.load(args.config).argv)
+            save_to = args.save_config
+            argv = RunConfig.load(args.config).argv
+            args = parser.parse_args(argv)
+            args.save_config = save_to or args.save_config
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
         if args.save_config:
@@ -408,6 +411,8 @@ def main(argv=None):
                 stripped.append(tok)
             RunConfig(stripped).save(args.save_config)
         return COMMANDS[args.subcommand](args)
+    except SystemExit as exc:  # --help and --version print, then exit with 0
+        return exc.code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

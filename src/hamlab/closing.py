@@ -2,14 +2,15 @@
 
 Two routes are provided.  The proof-faithful pipeline runs in auditable
 stages: rotate both path ends to collect endpoint pairs, split the base path
-into 2*rho segments, pick a tau-sequence of unbroken segments shared by many
-pairs, model each half (with TAU = 2, one oriented segment) as a path graph
-that keeps only the chords between the segment's interior vertices, rotate
-inside the models from a good initial pivot, and close with an edge between
-the two obtained endpoint sets.  The heuristic route is a plain randomized
-rotation loop.  Every cycle either route returns passes validate_cycle; a
-non-spanning cycle is reopened through a vertex with an outside neighbor and
-the search restarts from the longer path.
+into 2*rho segments, pick sigma0, the ordered pair of unbroken segments that
+the layouts of the most pairs contain (a tau-sequence with tau = 2), model
+each of its halves, one oriented segment, as a path graph that keeps only the
+chords between the segment's interior vertices, rotate inside the models from
+a good initial pivot, and close with an edge between the two obtained
+endpoint sets.  The heuristic route is a plain randomized rotation loop.
+Every cycle either route returns passes validate_cycle; a non-spanning cycle
+is reopened through a vertex with an outside neighbor and the search restarts
+from the longer path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .rotation import PathBuf, closure, double_rotation_targets, extend, rotate 
 
 # The proof-faithful pipeline's fixed parameters.  rho, the number of segment
 # pairs, is the largest rotation count among the endpoint pairs.
-TAU = 2  # tau-sequence length; even, since sigma0 is halved between the sides
 A_CAP = 12  # first-stage endpoints a that get a second-stage family
 A_FRACTION = 0.5  # share of the ranked first endpoints kept as anchor candidates
 ANCHOR_CAP = 8  # b-anchors tried per a-anchor in the closing-edge search
@@ -46,7 +46,7 @@ PROOF_ATTEMPTS = 2  # restarts on which auto mode tries the pipeline first
 
 
 # ---------------------------------------------------------------------------
-# Segment decomposition and tau-sequences
+# Segment decomposition and sigma0
 
 
 @dataclass(frozen=True)
@@ -137,53 +137,31 @@ def unbroken_segments(dec, runs):
     return tuple(coded)
 
 
-@dataclass(frozen=True)
-class TauSequence:
-    """Ordered, oriented list of unbroken segments."""
+def select_sigma0(layouts, must_include=None):
+    """Pick the ordered pair of unbroken segments that the coded layouts of
+    the most (a, b) pairs contain.
 
-    entries: tuple  # ((segment index, reversed?), ...)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def select_sigma0(layouts, tau, must_include=None):
-    """Pick the tau-sequence contained in the coded layouts of the most
-    distinct (a, b) pairs.
-
-    `layouts` maps each pair to a list of its coded layouts, as
-    `unbroken_segments` returns them.  Returns (sigma0, pair set).  A pair
-    counts once however many of its layouts contain the sequence, and ties
-    go to the larger entries.  With `must_include`, only sequences using that
-    segment index are considered.  An entry (seg, rev) is coded as the
-    integer 2*seg + rev, whose order is the order of the tuples.  One
-    `Counter` counts the sequences of every pair, and only the winner's pair
-    set is built, by a subsequence test on each coded layout.
+    `layouts` maps each pair to its coded layout, as `unbroken_segments`
+    returns it.  Returns ((seg, rev), (seg, rev)) and the set of pairs whose
+    layout contains it, or (None, set()) when there is none.  Ties go to the
+    larger entries.  With `must_include`, only sequences using that segment
+    index are considered.  An entry (seg, rev) is coded as the integer
+    2*seg + rev, whose order is the order of the tuples.  One `Counter`
+    counts the ordered pairs of every layout, and only the winner's pair set
+    is built: a segment appears at most once in a layout, so the layout holds
+    the winner (c1, c2) exactly when c2 follows c1 in it.
     """
-    combos = itertools.combinations
-
-    def sequences(coded):
-        if min(map(len, coded)) < tau:
-            raise ValueError("layout has fewer unbroken segments than tau")
-        seqs = combos(coded[0], tau)
-        if len(coded) > 1:
-            seqs = set(seqs).union(*(combos(c, tau) for c in coded[1:]))
-        if must_include is not None:
-            seqs = [e for e in seqs if must_include in (c >> 1 for c in e)]
-        return seqs
-
-    counts = collections.Counter(itertools.chain.from_iterable(map(sequences, layouts.values())))
+    seqs = itertools.chain.from_iterable(itertools.combinations(c, 2) for c in layouts.values())
+    if must_include is not None:
+        seqs = (e for e in seqs if must_include in (e[0] >> 1, e[1] >> 1))
+    counts = collections.Counter(seqs)
     if not counts:
         return None, set()
-    best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-    def holds(c):
-        # best is a tau-sequence of the layout c exactly when it is a subsequence of c
-        it = iter(c)
-        return all(e in it for e in best)
-
-    won = {p for p, coded in layouts.items() if any(holds(c) for c in coded)}
-    return TauSequence(tuple((c >> 1, bool(c & 1)) for c in best)), won
+    c1, c2 = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    won = {
+        p for p, coded in layouts.items() if c1 in coded and c2 in coded[coded.index(c1) + 1 :]
+    }
+    return ((c1 >> 1, bool(c1 & 1)), (c2 >> 1, bool(c2 & 1))), won
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +170,7 @@ def select_sigma0(layouts, tau, must_include=None):
 
 @dataclass
 class ContractedModel:
-    """Dense path-graph model of one half, a single oriented segment.
+    """Dense path-graph model of one half of sigma0, an oriented segment.
 
     Model vertex i is position i along the model spine; labels maps it back to
     the real vertex.  The spine starts at the half's boundary vertex (x on
@@ -207,17 +185,15 @@ class ContractedModel:
 
 
 def build_contracted(dec, half, g, side, protected_segment=None):
-    """Build the model graph of a one-segment half (side 1 starts at x, side
-    2 at y).
+    """Build the model graph of a half of sigma0, the oriented segment
+    `half` = (seg, rev) (side 1 starts at x, side 2 at y).
 
     The spine is the oriented segment, reversed on side 1 so that it starts
     at x; chords of G are added only between its interior vertices.  A
     protected segment is contracted away except for its boundary vertex (x or
     y), which stays as a lone, frozen model.
     """
-    if len(half) != 1:
-        raise ValueError(f"a half is one segment, not {len(half)}")
-    ((seg_idx, rev),) = half.entries
+    seg_idx, rev = half
     seg = dec.segments[seg_idx]
     run = seg[::-1] if rev else seg
     labels = tuple(run[::-1] if side == 1 else run)
@@ -321,7 +297,7 @@ def absorb(g, cycle_seq, protected_edge=None):
 
 
 def close_proof_faithful(g, p0, protected_edge=None, stats=None):
-    """Run the segment/tau-sequence pipeline until a Hamilton cycle closes.
+    """Run the segment/sigma0 pipeline until a Hamilton cycle closes.
 
     Returns a Cycle or a CloseFailure naming the first stage whose threshold
     was unmet.  A validated non-spanning cycle is absorbed into a longer path
@@ -365,22 +341,20 @@ def _pipeline_once(g, path, protected_edge, stats):
         protected_segment = dec.segment_index_of(protected_edge[0])
         if dec.segment_index_of(protected_edge[1]) != protected_segment:
             return CloseFailure("segments", "protected edge split", stats)
-    layouts = {}  # pair -> coded layouts
+    layouts = {}  # pair -> coded layout
     for pair in targets.pairs():
         if targets.pair_rotations[pair] > rho:
             continue
         coded = unbroken_segments(dec, targets.pair_runs[pair])
-        if len(coded) >= TAU:
-            layouts[pair] = [coded]
+        if len(coded) >= 2:
+            layouts[pair] = coded
     if not layouts:
         return CloseFailure("tau_sequences", "no record with tau unbroken segments", stats)
-    sigma0, pairs = select_sigma0(layouts, TAU, must_include=protected_segment)
-    if sigma0 is None or not pairs:
+    sigma0, pairs = select_sigma0(layouts, must_include=protected_segment)
+    if sigma0 is None:
         return CloseFailure("sigma0", "no tau-sequence shared by any pair", stats)
-    half1 = TauSequence(sigma0.entries[: TAU // 2])
-    half2 = TauSequence(sigma0.entries[TAU // 2 :])
-    model1 = build_contracted(dec, half1, g, 1, protected_segment)
-    model2 = build_contracted(dec, half2, g, 2, protected_segment)
+    model1 = build_contracted(dec, sigma0[0], g, 1, protected_segment)
+    model2 = build_contracted(dec, sigma0[1], g, 2, protected_segment)
     x, y = model1.labels[0], model2.labels[0]
 
     # rank cutoff replacing the alpha*n/2 membership threshold

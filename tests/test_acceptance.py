@@ -184,16 +184,16 @@ def test_criterion_4_tau_sequence_counting():
                 continue
             layout = unbroken_segments(dec, targets.pair_runs[pair])
             if len(layout) >= 2:
-                layouts[pair] = [layout]
+                layouts[pair] = layout
         if len(layouts) < 2:
             continue
-        _, pairs = select_sigma0(layouts, 2)
+        _, pairs = select_sigma0(layouts)
         best = 0
         for perm in itertools.permutations(range(len(dec.segments)), 2):
             for orient in itertools.product((False, True), repeat=2):
                 sigma = tuple(zip(perm, orient))
                 hits = set()
-                for pair, (layout,) in layouts.items():
+                for pair, layout in layouts.items():
                     oriented = [(c >> 1, bool(c & 1)) for c in layout]
                     it = iter(oriented)
                     if all(entry in it for entry in sigma):

@@ -429,6 +429,9 @@ def test_cycle_of_length_k_cliques():
     for t in (0, -3):
         with pytest.raises(ValueError, match=r"^need t >= 1$"):
             cycle_of_length_k(g, 5, t=t)
+    with pytest.raises(ValueError, match=r"^need retries >= 0$"):
+        cycle_of_length_k(g, 5, retries=-3)
+    assert cycle_of_length_k(g, 5, retries=0).attempts == 0
 
 
 def test_cycle_of_length_k_chordless_cycle_fails():

@@ -118,11 +118,15 @@ def test_cycle_k_subcommand(capsys):
     )
     assert code == EXIT_OK
     assert len(out.split()) == 7
-    for t in ("0", "-3"):
-        argv = ["cycle-k", "--family", "complete", "--n", "12", "--k", "7", "--t", t]
+    for flag, value, message in (
+        ("--t", "0", "need t >= 1"),
+        ("--t", "-3", "need t >= 1"),
+        ("--retries", "-3", "need retries >= 0"),
+    ):
+        argv = ["cycle-k", "--family", "complete", "--n", "12", "--k", "7", flag, value]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: need t >= 1\n"
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_pivot_audit_subcommand(capsys):
@@ -235,6 +239,19 @@ def test_saved_config_replays_identically(tmp_path, capsys):
     code2 = main(["--config", str(cfg)])
     out2 = capsys.readouterr().out
     assert (code1, out1) == (code2, out2)
+    # a replay can itself be saved: the replayed argv goes to the new file
+    again = tmp_path / "again.json"
+    code3 = main(["--config", str(cfg), "--save-config", str(again)])
+    assert (code3, capsys.readouterr().out) == (code1, out1)
+    assert again.read_text() == cfg.read_text()
+
+
+def test_version_and_help_return_zero(capsys):
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == f"{hamlab.__version__}\n"
+    for argv in (["--help"], ["hamilton", "--help"]):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: hamlab")
 
 
 def test_malformed_config_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Cycle closing: segments, tau-sequences, contracted models, both closers."""
+"""Cycle closing: segments, sigma0, contracted models, both closers."""
 
 import itertools
 import math
@@ -39,7 +39,7 @@ from hamlab import (
     validate_path,
 )
 from hamlab import closing
-from hamlab.closing import TauSequence, lift_model_path, model_endpoint_paths
+from hamlab.closing import lift_model_path, model_endpoint_paths
 from hamlab.rotation import rotated_runs
 
 
@@ -138,18 +138,14 @@ def test_tau_sequence_counts_match_binomial():
             assert len(set(seqs)) == len(seqs)
 
 
-def brute_force_sigma0(layouts, tau, dec):
-    """Max |L(sigma)| over all 2^tau * (2rho)_tau ordered oriented sequences."""
+def brute_force_sigma0(layouts, dec):
+    """Max |L(sigma)| over all 4 * (2rho)_2 ordered oriented segment pairs."""
     seg_ids = range(len(dec.segments))
     best = 0
-    for perm in itertools.permutations(seg_ids, tau):
-        for orient in itertools.product((False, True), repeat=tau):
+    for perm in itertools.permutations(seg_ids, 2):
+        for orient in itertools.product((False, True), repeat=2):
             sigma = tuple(zip(perm, orient))
-            pairs = {
-                pair
-                for pair, codes in layouts.items()
-                if any(_contains(c, sigma) for c in codes)
-            }
+            pairs = {pair for pair, c in layouts.items() if _contains(c, sigma)}
             best = max(best, len(pairs))
     return best
 
@@ -180,13 +176,13 @@ def test_select_sigma0_matches_full_enumeration():
                 continue
             layout = unbroken_segments(dec, targets.pair_runs[pair])
             if len(layout) >= 2:
-                layouts[pair] = [layout]
+                layouts[pair] = layout
         if len(layouts) < 2:
             continue
-        sigma0, pairs = select_sigma0(layouts, 2)
-        assert len(pairs) == brute_force_sigma0(layouts, 2, dec)
+        sigma0, pairs = select_sigma0(layouts)
+        assert len(pairs) == brute_force_sigma0(layouts, dec)
         # averaging guarantee: the best sequence beats the mean load
-        total = sum(math.comb(len(c), 2) for (c,) in layouts.values())
+        total = sum(math.comb(len(c), 2) for c in layouts.values())
         denom = 4 * (2 * rho) * (2 * rho - 1)
         assert len(pairs) >= total / denom
         done += 1
@@ -196,19 +192,19 @@ def test_select_sigma0_matches_full_enumeration():
 def test_select_sigma0_single_record():
     p = Path(range(8))
     dec = decompose(p, 2)
-    layouts = {(0, 7): [unbroken_segments(dec, ((0, 7),))]}
-    sigma0, pairs = select_sigma0(layouts, 2)
+    layouts = {(0, 7): unbroken_segments(dec, ((0, 7),))}
+    sigma0, pairs = select_sigma0(layouts)
     assert pairs == {(0, 7)}
-    with pytest.raises(ValueError):
-        select_sigma0(layouts, 5)
+    # a layout of one segment holds no ordered pair of segments
+    assert select_sigma0({(0, 7): (2,)}) == (None, set())
 
 
 def test_select_sigma0_identical_records():
     # identical layouts under distinct pairs: the chosen sequence covers all
     p = Path(range(8))
     dec = decompose(p, 2)
-    layouts = {(0, i): [unbroken_segments(dec, ((0, 7),))] for i in range(1, 5)}
-    _, pairs = select_sigma0(layouts, 2)
+    layouts = {(0, i): unbroken_segments(dec, ((0, 7),)) for i in range(1, 5)}
+    _, pairs = select_sigma0(layouts)
     assert pairs == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
 
@@ -222,32 +218,24 @@ def test_build_contracted_shapes():
         (2, False, (3, 4, 5)),
         (2, True, (5, 4, 3)),
     ):
-        model = build_contracted(dec, TauSequence(((1, rev),)), g, side)
+        model = build_contracted(dec, (1, rev), g, side)
         assert model.labels == spine
         assert model.side == side and not model.frozen
         # a protected segment keeps only its boundary vertex, frozen
-        kept = build_contracted(dec, TauSequence(((1, rev),)), g, side, protected_segment=1)
+        kept = build_contracted(dec, (1, rev), g, side, protected_segment=1)
         assert kept.labels == spine[:1] and kept.frozen
-        other = build_contracted(dec, TauSequence(((1, rev),)), g, side, protected_segment=2)
+        other = build_contracted(dec, (1, rev), g, side, protected_segment=2)
         assert other.labels == spine and not other.frozen
 
 
 def test_build_contracted_interior_chords_only():
     g = complete(12)
     dec = decompose(Path(range(12)), 1)  # two 6-vertex segments
-    model = build_contracted(dec, TauSequence(((1, True),)), g, side=2)
+    model = build_contracted(dec, (1, True), g, side=2)
     assert model.labels == (11, 10, 9, 8, 7, 6)
     chords = sorted(e for e in model.spanned.graph.edges if abs(e[0] - e[1]) != 1)
     # G is complete, but neither spine tip (0 or 5) gets a chord
     assert chords == [(1, 3), (1, 4), (2, 4)]
-
-
-def test_build_contracted_takes_one_segment():
-    g = complete(12)
-    dec = decompose(Path(range(12)), 2)
-    for entries in ((), ((0, False), (2, False))):
-        with pytest.raises(ValueError, match="one segment"):
-            build_contracted(dec, TauSequence(entries), g, 1)
 
 
 def _model_lifts(g):
@@ -271,16 +259,12 @@ def _model_lifts(g):
         if targets.pair_rotations[pair] > rho:
             continue
         layout = unbroken_segments(dec, targets.pair_runs[pair])
-        if len(layout) >= closing.TAU:
-            layouts[pair] = [layout]
-    sigma0, pairs = select_sigma0(layouts, closing.TAU)
+        if len(layout) >= 2:
+            layouts[pair] = layout
+    sigma0, pairs = select_sigma0(layouts)
     if sigma0 is None:
         return []
-    half = closing.TAU // 2
-    models = (
-        build_contracted(dec, TauSequence(sigma0.entries[:half]), g, 1),
-        build_contracted(dec, TauSequence(sigma0.entries[half:]), g, 2),
-    )
+    models = (build_contracted(dec, sigma0[0], g, 1), build_contracted(dec, sigma0[1], g, 2))
     out = []
     for a, b in sorted(pairs):
         phat = targets.pair_path((a, b))

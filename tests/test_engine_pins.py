@@ -39,7 +39,7 @@ from hamlab import (
     reconstruct_path,
 )
 from hamlab import applications, closing
-from hamlab.closing import TauSequence, build_contracted, decompose, model_endpoint_paths
+from hamlab.closing import build_contracted, decompose, model_endpoint_paths
 from hamlab.pivots import PivotAudit
 
 
@@ -306,15 +306,15 @@ def test_process_bad_vertices_pins():
 
 
 def observe_model_endpoint_paths():
-    """One-segment halves, as the pipeline builds them with TAU = 2: the
+    """One-segment halves, as the pipeline builds them from sigma0: the
     model's shape and, from three pivots under two budgets, its endpoint
     set, witness paths and broken-edge log; and a frozen protected model."""
     g = gnp(40, 0.3, seed="pins:model")
     p = extend(g, Path((0,)))
     dec = decompose(p, 2)
     out = {}
-    for side, entries in ((1, ((0, False),)), (2, ((3, True),))):
-        model = build_contracted(dec, TauSequence(entries), g, side)
+    for side, half in ((1, (0, False)), (2, (3, True))):
+        model = build_contracted(dec, half, g, side)
         l = len(model.labels)
         out[f"{side}/model"] = {
             "labels": list(model.labels),
@@ -330,7 +330,7 @@ def observe_model_endpoint_paths():
                     "witnesses": _digest({str(k): list(v) for k, v in sorted(paths.items())}),
                     "log": _digest(sorted(log)),
                 }
-    model = build_contracted(dec, TauSequence(((0, False),)), g, 1, protected_segment=0)
+    model = build_contracted(dec, (0, False), g, 1, protected_segment=0)
     out["protected"] = {"labels": list(model.labels), "frozen": model.frozen}
     return out
 
@@ -516,7 +516,7 @@ def test_protected_heuristic_pins(monkeypatch):
 
 
 def _sigma0_view(sigma0, pairs):
-    entries = [list(e) for e in sigma0.entries] if sigma0 is not None else None
+    entries = [list(e) for e in sigma0] if sigma0 is not None else None
     return {"sigma0": entries, "pairs": _digest(sorted(pairs))}
 
 
@@ -538,9 +538,9 @@ def observe_pipeline_records(monkeypatch):
         records.append((pair, targets.pair_rotations[pair], layout))
         return layout
 
-    def select(layouts, tau, must_include=None):
-        rounds.append(({p: list(c) for p, c in layouts.items()}, tau, must_include))
-        return real_select(layouts, tau, must_include=must_include)
+    def select(layouts, must_include=None):
+        rounds.append((dict(layouts), must_include))
+        return real_select(layouts, must_include=must_include)
 
     monkeypatch.setattr(closing, "unbroken_segments", unbroken)
     monkeypatch.setattr(closing, "select_sigma0", select)
@@ -559,13 +559,13 @@ def observe_pipeline_records(monkeypatch):
         rounds.clear()
         res = closing.close_proof_faithful(g, p, protected_edge=protected)
         choices = []
-        for layouts, tau, must in rounds:
+        for layouts, must in rounds:
             choices.append({
-                "records": sum(map(len, layouts.values())),
-                "unset": _sigma0_view(*real_select(layouts, tau)),
+                "records": len(layouts),
+                "unset": _sigma0_view(*real_select(layouts)),
                 "protected_segment": must,
                 "must_include": _sigma0_view(
-                    *real_select(layouts, tau, must_include=0 if must is None else must)
+                    *real_select(layouts, must_include=0 if must is None else must)
                 ),
             })
         out[name] = {

@@ -6,7 +6,7 @@ one the whole-path computation gives; every pair of a real double rotation
 gives that layout too, and a family's rebuilt paths equal its replayed
 chains; the runs the families hand over equal their chains folded; the
 sigma0 choice counted on coded layouts equals the one made by enumerating
-every layout's tau-sequences."""
+the ordered segment pairs of every layout."""
 
 import dataclasses
 import itertools
@@ -32,7 +32,6 @@ from hamlab import (
     select_sigma0,
     unbroken_segments,
 )
-from hamlab.closing import TauSequence
 from hamlab.rotation import chain_runs, rotated_runs, run_successor, runs_path
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -74,22 +73,19 @@ def coded(found):
     return tuple(2 * seg + rev for seg, rev, _ in found)
 
 
-def reference_select_sigma0(layouts, tau, must_include=None):
-    """The sigma0 choice that enumerated the tau-sequences of every layout."""
+def reference_select_sigma0(layouts, must_include=None):
+    """The sigma0 choice that enumerated the ordered segment pairs of every
+    layout."""
     counts = {}
-    for pair, codes in layouts.items():
-        for layout in codes:
-            if len(layout) < tau:
-                raise ValueError("layout has fewer unbroken segments than tau")
-            oriented = [(c >> 1, bool(c & 1)) for c in layout]
-            for entries in itertools.combinations(oriented, tau):
-                if must_include is not None and must_include not in [s for s, _ in entries]:
-                    continue
-                counts.setdefault(entries, set()).add(pair)
+    for pair, layout in layouts.items():
+        oriented = [(c >> 1, bool(c & 1)) for c in layout]
+        for entries in itertools.combinations(oriented, 2):
+            if must_include is not None and must_include not in [s for s, _ in entries]:
+                continue
+            counts.setdefault(entries, set()).add(pair)
     if not counts:
         return None, set()
-    best = max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    return TauSequence(best[0]), best[1]
+    return max(counts.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
 
 @st.composite
@@ -187,24 +183,12 @@ def test_chain_records_equal_the_whole_path_records(case, chains, data):
         assert unbroken_segments(dec, runs) == coded(found)
         # a run boundary breaks exactly one base edge, and a rotation makes at most one
         assert len(broken) == len(runs) - 1 <= len(steps)
-        layouts.setdefault(pair, []).append(coded(found))
+        layouts[pair] = coded(found)
 
-    tau = data.draw(st.integers(1, 3))
     segment = data.draw(st.integers(0, dec.count - 1))
     protected_segment = dec.segment_index_of(protected[0]) if protected else None
     for must in (None, segment, protected_segment):
-        if any(len(c) < tau for codes in layouts.values() for c in codes):
-            with pytest.raises(ValueError):
-                select_sigma0(layouts, tau, must_include=must)
-            with pytest.raises(ValueError):
-                reference_select_sigma0(layouts, tau, must_include=must)
-            kept = {}
-            for pair, codes in layouts.items():
-                if any(len(c) >= tau for c in codes):
-                    kept[pair] = [c for c in codes if len(c) >= tau]
-        else:
-            kept = layouts
-        assert select_sigma0(kept, tau, must) == reference_select_sigma0(kept, tau, must)
+        assert select_sigma0(layouts, must) == reference_select_sigma0(layouts, must)
 
 
 @PROPERTY
@@ -294,88 +278,65 @@ def record(pair, layout):
     return pair, tuple(2 * seg + rev for seg, rev in layout)
 
 
-def by_pair(records):
-    """The pair -> coded layouts map `select_sigma0` takes, layouts in order."""
-    layouts = {}
-    for pair, layout in records:
-        layouts.setdefault(pair, []).append(layout)
-    return layouts
-
-
 F, R = False, True
 
 
 @pytest.mark.parametrize(
-    "records, tau, must, want",
+    "records, must, want",
     [
-        # a pair with several layouts counts once: three layouts of (0, 1)
-        # hold ((0, F), (1, F)), but two pairs hold ((2, F), (3, F))
-        (
-            [record((0, 1), [(0, F), (1, F)]), record((0, 1), [(0, F), (1, F), (4, F)]),
-             record((0, 1), [(0, F), (1, F), (5, R)]), record((1, 2), [(2, F), (3, F)]),
-             record((1, 3), [(2, F), (3, F)])],
-            2, None, (((2, F), (3, F)), {(1, 2), (1, 3)}),
-        ),
         # ties go to the larger entries, on the segment and then on the flag
         ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(0, F), (1, F)])],
-         2, None, (((2, F), (3, F)), {(0, 1)})),
+         None, (((2, F), (3, F)), {(0, 1)})),
         ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(2, F), (3, R)])],
-         2, None, (((2, F), (3, R)), {(0, 2)})),
+         None, (((2, F), (3, R)), {(0, 2)})),
         # must_include drops the unfiltered winner, or every sequence
         (
             [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(0, F), (1, F)]),
              record((0, 3), [(1, F), (2, R)])],
-            2, 2, (((1, F), (2, R)), {(0, 3)}),
+            2, (((1, F), (2, R)), {(0, 3)}),
         ),
-        ([record((0, 1), [(0, F), (1, F)])], 2, 3, (None, set())),
+        ([record((0, 1), [(0, F), (1, F)])], 3, (None, set())),
         # a reversed and a forward entry of one segment are different entries
         (
             [record((0, 1), [(0, F), (1, R)]), record((0, 2), [(0, F), (1, F)]),
              record((0, 3), [(0, F), (1, R)])],
-            2, None, (((0, F), (1, R)), {(0, 1), (0, 3)}),
+            None, (((0, F), (1, R)), {(0, 1), (0, 3)}),
         ),
-        ([record((0, 1), [(1, F)]), record((0, 2), [(1, R)])],
-         1, None, (((1, R),), {(0, 2)})),
-        ([record((0, 1), [(1, F), (4, R)]), record((0, 2), [(1, R), (4, R)])],
-         1, 1, (((1, R),), {(0, 2)})),
-        # a pair holds the winner only in a later layout, and not contiguously
-        # there; the same segments out of order or with another flag do not
+        # a layout holds the winner without its entries being adjacent; the
+        # same segments out of order or with another flag do not
         (
-            [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(2, F), (3, F)]),
-             record((0, 1), [(2, F), (5, R), (3, F)]), record((0, 4), [(3, F), (2, F)]),
+            [record((0, 1), [(2, F), (5, R), (3, F)]), record((0, 2), [(2, F), (3, F)]),
+             record((0, 3), [(0, F), (1, F)]), record((0, 4), [(3, F), (2, F)]),
              record((0, 5), [(2, R), (3, F)])],
-            2, None, (((2, F), (3, F)), {(0, 1), (0, 2)}),
+            None, (((2, F), (3, F)), {(0, 1), (0, 2)}),
         ),
         # the same with must_include: the unfiltered winner ((1, F), (4, F))
-        # is held by three pairs, (0, 1) only in its second layout, and the
-        # filtered one by (0, 1) only in its third
+        # is held by three pairs, (0, 1) with an entry between, and the
+        # winner filtered on segment 5 by (0, 1) and (0, 6), by (0, 6) with
+        # an entry between; (0, 3) holds ((0, F), (5, F)) only out of order
         *(
             (
-                [record((0, 1), [(0, F), (1, F)]), record((0, 1), [(1, F), (4, F)]),
-                 record((0, 1), [(0, F), (5, F), (4, F)]),
+                [record((0, 1), [(1, F), (5, F), (4, F)]),
                  record((0, 2), [(0, F), (3, F), (5, F)]), record((0, 3), [(5, F), (0, F)]),
-                 record((0, 4), [(1, F), (4, F)]), record((0, 5), [(1, F), (4, F)])],
-                2, must, want,
+                 record((0, 4), [(1, F), (4, F)]), record((0, 5), [(1, F), (4, F)]),
+                 record((0, 6), [(1, F), (0, F), (5, F)])],
+                must, want,
             )
             for must, want in (
                 (None, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
                 (4, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
-                (5, (((0, F), (5, F)), {(0, 1), (0, 2)})),
+                (5, (((1, F), (5, F)), {(0, 1), (0, 6)})),
             )
         ),
     ],
 )
-def test_select_sigma0_edge_cases(records, tau, must, want):
-    layouts = by_pair(records)
-    sigma0, pairs = select_sigma0(layouts, tau, must_include=must)
-    assert (sigma0, pairs) == reference_select_sigma0(layouts, tau, must_include=must)
-    entries, want_pairs = want
-    assert pairs == want_pairs
-    if entries is None:
-        assert sigma0 is None
-    else:
-        assert sigma0.entries == entries
-        assert all(type(rev) is bool for _, rev in sigma0.entries)
+def test_select_sigma0_edge_cases(records, must, want):
+    layouts = dict(records)
+    sigma0, pairs = select_sigma0(layouts, must_include=must)
+    assert (sigma0, pairs) == reference_select_sigma0(layouts, must_include=must)
+    assert (sigma0, pairs) == want
+    if sigma0 is not None:
+        assert all(type(rev) is bool for _, rev in sigma0)
 
 
 def test_segment_index_of_matches_the_segments():
