@@ -478,6 +478,8 @@ def gnp_trials(n, p, trials, seed=0, budget=60000, mode="heuristic"):
     """Run seeded Hamiltonicity trials on fresh G(n, p) samples."""
     from .graph import gnp
 
+    if trials < 0:
+        raise ValueError("need trials >= 0")
     stats = ExperimentStats()
     for i in range(trials):
         trial_seed = f"sweep:{seed}:{i}"

@@ -2,7 +2,8 @@
 
 Exact checks enumerate candidate sets inside a work budget (`graph.work_budget`:
 default 1e8 subset inspections, overridable via the HAMLAB_WORK_BUDGET
-environment variable).
+environment variable).  A report's `work` counts every subset decided, whether
+tested one by one or skipped within a block by the neighbourhood bound.
 Sampled mode only ever refutes: it reports `fails` with a witness or
 `indeterminate`, never `holds`.  The P1/P2 and f-connectivity checks walk
 their candidate sets with one walker, counting neighbourhoods with adjacency
@@ -139,13 +140,14 @@ def condition_thresholds(n, d, variant="P1P2"):
 
 
 def _draws(items, size, mode, budget, samples, stream, what):
-    """The candidate sets of one walk over `items`.
+    """The candidate sets of one walk over `items`, for `_first_short`.
 
-    `size` is a set size, or a range of them.  Exact mode yields every subset
-    of those sizes, by size and then lexicographically, after checking their
-    number against the work budget (`what` names the check in the error).
-    Sampled mode yields `samples` draws from the generator seeded with
-    `stream`; for a range it first draws each size with `randint`.
+    `size` is a set size, or a range of them.  Exact mode checks the number of
+    subsets of those sizes against the work budget (`what` names the check in
+    the error) and returns `(items, sizes)`, which `_first_short` walks by
+    size and then lexicographically.  Sampled mode yields `samples` draws from
+    the generator seeded with `stream`; for a range it first draws each size
+    with `randint`.
     """
     sizes = size if isinstance(size, range) else (size,)
     if mode == "exact":
@@ -153,9 +155,7 @@ def _draws(items, size, mode, budget, samples, stream, what):
         totals = itertools.accumulate(math.comb(len(items), a) for a in sizes)
         if any(total > cap for total in totals):
             raise WorkBudgetExceeded(f"exact {what} check needs > {cap} subset inspections")
-        return itertools.chain.from_iterable(
-            itertools.combinations(items, a) for a in sizes
-        )
+        return items, sizes
     if mode == "sampled":
         rng = random.Random(stream)
         draws = range(samples if sizes else 0)  # no draws from an empty size range
@@ -167,15 +167,54 @@ def _draws(items, size, mode, budget, samples, stream, what):
 
 def _first_short(g, draws, bound):
     """The first drawn set S with |N(S)| < bound(|S|), its 1-based index and
-    its neighbourhood bitmask; (None, number of draws, None) when none is."""
+    its neighbourhood bitmask; (None, number of draws, None) when none is.
+
+    Exact draws `(items, sizes)` are walked depth first over prefixes, in the
+    order of `itertools.combinations` within each size.  A prefix P with r
+    items still to add has |N(S)| >= |N(P)| - r for every completion S, since
+    N(S) keeps all of N(P) but the added items.  When that already meets the
+    bound, the walk counts the block of completions without testing them.
+    """
     masks = adjacency_masks(g)
-    limits = [bound(a) for a in range(g.n + 1)]
+    if not isinstance(draws, tuple):
+        work = 0
+        for combo in draws:
+            work += 1
+            nb = neighborhood_mask(masks, combo)
+            if nb.bit_count() < bound(len(combo)):
+                return combo, work, nb
+        return None, work, None
+    items, sizes = draws
+    m = len(items)
+    around_of = [masks[v] for v in items]
+    bit_of = [1 << v for v in items]
+    chosen = []
     work = 0
-    for combo in draws:
-        work += 1
-        nb = neighborhood_mask(masks, combo)
-        if nb.bit_count() < limits[len(combo)]:
-            return combo, work, nb
+
+    def walk(start, r, around, inside):
+        """Complete the prefix `chosen` (masks `around`, `inside`) by r > 0
+        of items[start:]; the first short set's neighbourhood, else None."""
+        nonlocal work
+        for i in range(start, m - r + 1):
+            u, b = around | around_of[i], inside | bit_of[i]
+            if (u & ~b).bit_count() - r + 1 >= limit:  # a leaf is a block of one
+                work += math.comb(m - i - 1, r - 1)
+                continue
+            chosen.append(items[i])
+            if r == 1:
+                work += 1
+                return u & ~b
+            nb = walk(i + 1, r - 1, u, b)
+            if nb is not None:
+                return nb
+            chosen.pop()
+        return None
+
+    for a in sizes:
+        limit = bound(a)  # read by `walk`
+        nb = walk(0, a, 0, 0)
+        if nb is not None:
+            return tuple(chosen), work, nb
     return None, work, None
 
 

@@ -107,7 +107,10 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
     A pivot is bad when its endpoint set is smaller than threshold_ratio * l.
     With early_exit, the closure stops as soon as a pivot is provably good;
     recorded sizes are then lower bounds for good pivots (exact for bad ones).
+    A budget below 1 would decide no closure, so it raises ValueError.
     """
+    if budget < 1:
+        raise ValueError("need budget >= 1")
     l = len(h.spine)
     threshold = threshold_ratio * l
     stop_at = math.ceil(threshold) if early_exit else None

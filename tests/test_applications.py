@@ -447,6 +447,12 @@ def test_cycle_of_length_k_gnp():
     assert validate_cycle(g, res.cycle.vertices)
 
 
+def test_gnp_trials_rejects_negative_trials():
+    with pytest.raises(ValueError, match="need trials >= 0"):
+        applications.gnp_trials(20, 0.5, -2)
+    assert applications.gnp_trials(20, 0.5, 0).trials == []
+
+
 def test_fconnected_pipeline():
     res = fconnected_pipeline(complete(10), FConnSpec.klogk(), seed=1)
     assert res.certified and res.search.found

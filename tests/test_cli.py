@@ -145,6 +145,20 @@ def test_pivot_audit_subcommand(capsys):
     assert 7 * len(cert["U"]) >= len(cert["X"])
 
 
+def test_negative_counts_are_usage_errors(capsys):
+    for argv, message in (
+        (["sweep", "--n", "20", "--pmin", "0.3", "--pmax", "0.5", "--steps", "2",
+          "--trials", "-2"], "need trials >= 0"),
+        (["pivot-audit", "--family", "path", "--n", "12", "--budget", "-1"],
+         "need budget >= 1"),
+        (["pivot-audit", "--family", "path", "--n", "12", "--budget", "0"],
+         "need budget >= 1"),
+    ):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_sweep_rows_and_determinism(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     args = [

@@ -8,6 +8,7 @@ import pytest
 
 from hamlab import (
     FConnSpec,
+    Graph,
     WorkBudgetExceeded,
     alpha_value,
     check_expansion,
@@ -293,6 +294,121 @@ def test_witness_and_work_match_the_definitional_walk():
     assert fconn_checked >= 80
 
 
+def skipped_before(g, items, witness, bound):
+    """Does the pruned walk skip a whole block of subsets before `witness`?
+
+    It does when some prefix P that the walk meets before the witness (in
+    `combinations` order over the sorted `items`, and not a prefix of the
+    witness) has |N(P)| - (a - |P|) >= bound(a), a = |witness|: the walk
+    counts that block, or one holding it, without testing it."""
+    a = len(witness)
+    return any(
+        prefix < tuple(witness[:k])
+        and len(neighborhood(g, prefix)) - (a - k) >= bound(a)
+        for k in range(1, a)
+        for prefix in itertools.combinations(items, k)
+    )
+
+
+def dense_with_a_thin_corner(n, p, seed):
+    """gnp(n, p) whose last two vertices keep only each other and a common
+    set K of n // 3 earlier vertices, and whose vertex n // 2 keeps about
+    half of K's size in neighbours.  The thin pair fails expansion late in
+    the walk, after the dense vertices' blocks were skipped."""
+    g = gnp(n, p, seed=seed)
+    rng = random.Random(seed)
+    thin = {n - 2, n - 1}
+    common = set(rng.sample(range(n - 2), n // 3))
+    few = set(rng.sample(range(n - 2), n // 6 + 2)) - {n // 2}
+    edges = [(u, v) for u, v in g.edges if not thin & {u, v} and n // 2 not in (u, v)]
+    edges += [(n - 2, n - 1)] + [(w, v) for w in thin for v in common]
+    edges += [(n // 2, v) for v in few]
+    return Graph(n, edges)
+
+
+def test_pruned_walk_matches_the_flat_walk_on_dense_graphs():
+    """On dense graphs the exact walk skips most blocks of subsets by the
+    neighbourhood bound; its witness and `work` still match a flat walk of
+    `combinations`, including witnesses that lie after a skipped block."""
+    rng = random.Random(2024)
+    after_skip = {"expansion": 0, "joined": 0, "implication": 0, "weak": 0}
+    for i in range(32):
+        n = rng.randint(20, 40)
+        p = rng.uniform(0.6, 0.95)
+        if i % 2:
+            g = dense_with_a_thin_corner(n, p, f"thin:{i}")
+            d = rng.uniform(n / 6, n / 3 + 1)
+        else:
+            g = gnp(n, p, seed=f"dense:{i}")
+            d = rng.uniform(g.min_degree() / 2, g.min_degree())
+        verts = list(range(n))
+        s = rng.randint(2, 3)
+
+        def bound(a):
+            return d * a
+
+        combo, work = first_failure(
+            subsets(verts, s), lambda c: len(neighborhood(g, c)) < bound(len(c))
+        )
+        rep = check_expansion(g, s, d)
+        assert (rep.witness, rep.work) == (
+            None if combo is None else {"S": sorted(combo)}, work
+        )
+        if combo is not None and skipped_before(g, verts, combo, bound):
+            after_skip["expansion"] += 1
+
+        combo, work = first_failure(
+            itertools.combinations(verts, s), lambda c: len(outside(g, c)) >= s
+        )
+        rep = check_joined(g, s)
+        assert (rep.witness, rep.work) == (
+            None if combo is None else {"A": sorted(combo), "B": outside(g, combo)[:s]},
+            work,
+        )
+        if combo is not None and skipped_before(g, verts, combo, lambda a: n - 2 * a + 1):
+            after_skip["joined"] += 1
+
+        # implication (i) under a premise that always holds
+        if n <= 26:
+            f = FConnSpec.constant(0)
+
+            def implication(a):
+                return min(d * a, n - 2 * a + 1)
+
+            combo, work = first_failure(
+                subsets(verts, s),
+                lambda c: len(neighborhood(g, c)) < implication(len(c)),
+            )
+            rep = fconn_implies_conditions(g, f, d=d, s_small=s, s_big=n)
+            premise = check_f_connected(g, f)
+            assert rep.params["premise"] == "holds"
+            if combo is None:
+                assert rep.witness is None
+            else:
+                assert rep.witness == {"implication": "expansion", "A": list(combo)}
+                if skipped_before(g, verts, combo, implication):
+                    after_skip["implication"] += 1
+            joined_work = 0 if combo is not None else check_joined(g, n).work
+            assert rep.work == premise.work + work + joined_work
+
+        # weak expansion over the vertices above a degree threshold
+        threshold = sorted(g.degree(v) for v in verts)[rng.randint(0, 2)]
+        small = small_vertices(g, threshold)
+        big = [v for v in verts if v not in small]
+        gd = d / 3
+        combo, work = first_failure(
+            subsets(big, s), lambda c: len(neighborhood(g, c)) < 3 * gd * len(c)
+        )
+        rep = check_gnp_properties(g, threshold=threshold, d=gd, distance_bound=0, s_small=s)
+        assert rep.work == math.comb(len(small), 2) + work
+        assert rep.params["sub"]["weak_expansion"] == ("holds" if combo is None else "fails")
+        if combo is not None:
+            assert rep.witness == {"property": "weak_expansion", "A": list(combo)}
+            if skipped_before(g, big, combo, lambda a: 3 * gd * a):
+                after_skip["weak"] += 1
+    assert all(count >= 3 for count in after_skip.values()), after_skip
+
+
 def test_joined_equivalence_with_full_quantifier():
     # the |A| = |B| = s reduction matches the unrestricted definition
     rng = random.Random(5)
@@ -391,14 +507,16 @@ def test_f_connected_examples():
 
 
 def test_f_connected_is_bounded_by_the_work_budget(monkeypatch):
-    """The subset walk decides by its budget, not by a size cap: C_19 walks
-    all 2^18 - 1 sides of size <= 9 and holds, while C_40 would need more
-    than the default 1e8 inspections and is refused before walking."""
+    """The subset walk decides by its budget, not by a size cap: C_27 has
+    2^26 - 1 sides of size <= 13, within the default 1e8 budget, and the walk
+    decides them all (most in skipped blocks, each still counted in `work`),
+    while C_28's 154 276 027 sides exceed the budget and are refused before
+    walking: the budget counts subsets, not walk steps."""
     monkeypatch.delenv("HAMLAB_WORK_BUDGET", raising=False)
-    rep = check_f_connected(cycle_graph(19), FConnSpec.constant(2))
-    assert rep.holds and rep.work == 2**18 - 1
+    rep = check_f_connected(cycle_graph(27), FConnSpec.constant(2))
+    assert rep.holds and rep.work == 2**26 - 1
     with pytest.raises(WorkBudgetExceeded, match="f-connectivity"):
-        check_f_connected(cycle_graph(40), FConnSpec.constant(2))
+        check_f_connected(cycle_graph(28), FConnSpec.constant(2))
 
 
 def test_f_connected_agrees_with_naive():
@@ -417,8 +535,6 @@ def test_fconn_implications():
     # two K5s sharing a vertex: separator of size 1 < f(4)
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(u, v) for u in range(4, 9) for v in range(u + 1, 9)]
-    from hamlab import Graph
-
     shared = Graph(9, edges)
     rep = check_f_connected(shared, FConnSpec.constant(30))
     assert rep.fails
@@ -459,8 +575,6 @@ def test_gnp_properties_reports():
     assert rep.params["sub"]["min_degree"] == "fails"
 
     # two low-degree vertices hanging off adjacent hub cliques: distance 3
-    from hamlab import Graph
-
     k4 = [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
     hub = Graph(6, k4 + [(2, 0), (2, 4), (3, 1), (3, 5)])
     rep = check_gnp_properties(hub, threshold=2, d=0.1)

@@ -104,6 +104,15 @@ def test_classify_zero_threshold():
     assert audit.bad == []
 
 
+def test_classify_rejects_a_budget_below_one():
+    # a closure with no state budget decides nothing; every pivot read as good
+    h = spanned_path(50)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="need budget >= 1"):
+            classify_pivots(h, budget=budget)
+    assert len(classify_pivots(h, budget=1).bad) == 48
+
+
 def test_process_empty_bad_set():
     h = spanned_complete(8)
     audit = classify_pivots(h)
