@@ -228,8 +228,8 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    g = _graph_from_args(args)
     try:
+        g = _graph_from_args(args)  # the builders count edges against the budget too
         if args.expansion:
             if args.s is None:
                 raise UsageError("--expansion needs --s")
@@ -421,6 +421,9 @@ def main(argv=None):
         return EXIT_USAGE
     except WorkBudgetExceeded as exc:
         sys.stderr.write(f"work budget exceeded: {exc}\n")
+        return EXIT_INDETERMINATE
+    except MemoryError as exc:
+        sys.stderr.write(f"out of memory: {exc or 'an allocation failed'}\n")
         return EXIT_INDETERMINATE
     except AssertionError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

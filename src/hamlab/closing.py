@@ -281,18 +281,25 @@ def _stats_json(stats):
 
 
 def absorb(g, cycle_seq, protected_edge=None):
-    """Reopen a non-spanning cycle at a vertex with an outside neighbor: the
-    vertex tuple of the longer path, or None when no vertex has one."""
+    """The site (idx, u) that reopens a non-spanning cycle into a longer path,
+    cycle_seq[idx+1:] + cycle_seq[:idx+1] + (u,), or None when no vertex has
+    an outside neighbour.
+
+    idx is the first cycle position whose neighbour set is not a subset of
+    the cycle's vertices, skipping one whose cycle edge to the next vertex is
+    `protected_edge`, and u is its smallest outside neighbour.  Each position
+    costs one set test; only the site's outside neighbours are compared.
+    """
     members = set(cycle_seq)
     m = len(cycle_seq)
     for idx, v in enumerate(cycle_seq):
-        if protected_edge is not None:
-            succ = cycle_seq[(idx + 1) % m]
-            if edge_key(v, succ) == protected_edge:
-                continue
-        for u in sorted(g.neighbors(v)):
-            if u not in members:
-                return cycle_seq[idx + 1 :] + cycle_seq[: idx + 1] + (u,)
+        nb = g.neighbors(v)
+        if nb <= members:
+            continue
+        succ = cycle_seq[(idx + 1) % m]
+        if protected_edge is not None and edge_key(v, succ) == protected_edge:
+            continue
+        return idx, min(nb - members)
     return None
 
 
@@ -320,10 +327,11 @@ def close_proof_faithful(g, p0, protected_edge=None, stats=None):
             raise SoundnessError(f"pipeline produced an invalid cycle: {verdict.reason}")
         if len(cycle_seq) == g.n:
             return Cycle(cycle_seq)
-        reopened = absorb(g, cycle_seq, protected_edge)
-        if reopened is None:
+        site = absorb(g, cycle_seq, protected_edge)
+        if site is None:
             return CloseFailure("absorption", "no outside neighbor", stats)
-        path = extend(g, Path(reopened))
+        idx, u = site
+        path = extend(g, Path(cycle_seq[idx + 1 :] + cycle_seq[: idx + 1] + (u,)))
 
 
 def _pipeline_once(g, path, protected_edge, stats):
@@ -476,8 +484,11 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
     absorb when the closed cycle does not span, otherwise rotate (round-robin
     over the two ends, preferring rotations that enable a closing edge).
 
-    The loop works on one `PathBuf`; a vertex tuple is made only when a cycle
-    closes."""
+    The loop works on one `PathBuf`, so each step costs about what it
+    changes: a rotation rewrites the shorter arc, the candidate scan reads
+    the buffer's slots (`PathBuf.candidates`), and an absorption reopens the
+    buffer at the site `absorb` finds (`PathBuf.reopen`).  A vertex tuple is
+    made only when a cycle closes, for its validation and `absorb`."""
     if stats is None:
         stats = new_stats()
     if rng is None:
@@ -487,6 +498,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
     buf = PathBuf(g.n, path.vertices)
     buf.extend(g, rng)
     spent = 0
+    broken_edges = None  # stats["broken_edges"], made at the first rotation
     while True:
         if len(buf) == 1:
             return CloseFailure("no_rotation", "isolated start", stats)
@@ -497,36 +509,25 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
                 raise SoundnessError(verdict.reason)
             if len(cycle_seq) == g.n:
                 return Cycle(cycle_seq)
-            reopened = absorb(g, cycle_seq, protected_edge)
-            if reopened is None:
+            site = absorb(g, cycle_seq, protected_edge)
+            if site is None:
                 return CloseFailure("absorption", "component exhausted", stats)
-            buf.load(reopened)
+            buf.reopen(*site)
             buf.extend(g, rng)
             continue
         if spent >= budget:
             return CloseFailure("budget", f"{spent} rotations", stats)
         moved = False
         for _ in range(2):
-            q = len(buf)
-            first = buf.first
-            candidates = []
-            closing = []
-            for u in g.neighbors(buf.last):
-                i = buf.position(u)
-                if i is None or i > q - 3:
-                    continue
-                succ = buf.at(i + 1)
-                if protected_edge is not None and edge_key(u, succ) == protected_edge:
-                    continue
-                candidates.append(i)
-                if g.has_edge(first, succ):
-                    closing.append(i)
+            candidates, closing = buf.candidates(g, protected_edge)
             if candidates:
                 pool = closing if closing else candidates
                 broken, _ = buf.rotate(rng.choice(pool))
                 spent += 1
                 stats["rotations"] += 1
-                stats.setdefault("broken_edges", set()).add(broken)
+                if broken_edges is None:
+                    broken_edges = stats.setdefault("broken_edges", set())
+                broken_edges.add(broken)
                 # round-robin: next rotation works the other end
                 buf.extend(g, rng)
                 buf.reverse()

@@ -405,8 +405,10 @@ def fconn_implies_conditions(g, f, d=12.0, s_small=None, s_big=1):
         |A| > |V \\ (A u N(A))|;
     (ii) no two disjoint sets of size >= s_big miss a connecting edge.
 
-    The implications are only asserted when the premise (f-connectivity)
-    holds; otherwise the report says the premise failed.
+    s_small defaults to n // 2: a set A of more than n/2 vertices satisfies
+    (i) in every graph, since n - |A| - |N(A)| < n/2 < |A|.  The
+    implications are only asserted when the premise (f-connectivity) holds;
+    otherwise the report says the premise failed.
     """
     premise = check_f_connected(g, f)
     params = {"f": f.name, "d": d, "premise": premise.verdict}
@@ -420,7 +422,7 @@ def fconn_implies_conditions(g, f, d=12.0, s_small=None, s_big=1):
             "exact",
         )
     if s_small is None:
-        s_small = g.n
+        s_small = g.n // 2
     params["s_small"] = s_small
     params["s_big"] = s_big
 

@@ -339,7 +339,20 @@ def neighborhood_mask(masks, s):
 
 
 def is_connected(g):
-    return g.n > 0 and min(bfs_distances(g, 0)) >= 0
+    """Whether g has vertices and one component.  The reached set grows one
+    frontier at a time by set unions of the frontier's neighbour sets."""
+    if g.n == 0:
+        return False
+    adj = g._adj
+    reached, frontier = {0}, (0,)
+    while frontier:
+        nxt = set()
+        for v in frontier:
+            nxt |= adj[v]
+        nxt -= reached
+        reached |= nxt
+        frontier = nxt
+    return len(reached) == g.n
 
 
 def bfs_distances(g, source):
@@ -364,11 +377,26 @@ def bfs_distances(g, source):
 # Named families
 
 
+def _check_work(what, work, unit):
+    """Refuse a build that would take more than `work_budget()` steps, before
+    taking any: `work` counts the edges a builder makes or the pairs gnp
+    draws for."""
+    budget = work_budget()
+    if work > budget:
+        raise WorkBudgetExceeded(f"{what}: {work} {unit} exceed the work budget of {budget}")
+
+
+def _clique_edges(n, what):
+    _check_work(what, n * (n - 1) // 2, "edges")
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
 def complete(n):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, _clique_edges(n, f"complete({n})"))
 
 
 def complete_bipartite(a, b):
+    _check_work(f"complete_bipartite({a}, {b})", a * b, "edges")
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
@@ -385,8 +413,12 @@ def path_graph(n):
 
 
 def gnp(n, p, seed=0):
+    """G(n, p): one draw per vertex pair, each pair an edge with probability
+    p.  WorkBudgetExceeded is raised before drawing when the n(n-1)/2 draws
+    would pass `work_budget()`."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    _check_work(f"gnp({n}, {p})", n * (n - 1) // 2, "edge draws")
     draw = random.Random(f"gnp:{seed}").random
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
 
@@ -426,10 +458,8 @@ def random_regular(n, d, seed=0):
 
 
 def clique_plus_isolated(clique_size, isolated_count):
-    n = clique_size + isolated_count
-    return Graph(
-        n, [(u, v) for u in range(clique_size) for v in range(u + 1, clique_size)]
-    )
+    what = f"clique_plus_isolated({clique_size}, {isolated_count})"
+    return Graph(clique_size + isolated_count, _clique_edges(clique_size, what))
 
 
 def petersen():

@@ -18,9 +18,10 @@ stretch with a > b is walked downwards.  A rotation costs O(runs), and
 Pósa rotation is a 2-opt move on the cycle the path forms with a virtual
 vertex joining its ends, so either arc may be reversed: `PathBuf.rotate`
 rewrites the shorter one, the tail in place or the head copied past the
-mobile end, at O(min(i + 1, q - 1 - i)) per rotation.  Head copies move the
-path along the array; `load` and a copy or push that would pass an end of
-the array write it back at the centre.
+mobile end, at O(min(i + 1, q - 1 - i)) per rotation; `reopen` opens the
+path read as a cycle at the same cost.  Head copies move the path along the
+array; `load` and a copy or push that would pass an end of the array write
+it back at the centre.
 """
 
 from __future__ import annotations
@@ -152,13 +153,17 @@ class PathBuf:
     `flip` toggles: the slots then hold [B][rev A], which read downwards is
     A + rev B, the rotated path, and the window has moved i + 1 slots towards
     the old mobile end.  A reversal only toggles `flip`, and an extension
-    writes one slot at either end.
+    writes one slot at either end.  `reopen` turns a closed, non-spanning
+    cycle into a longer path: the window is cut in two and the shorter part
+    moves, unreversed, to the far side of the other, so an absorption costs
+    O(min(i + 1, q - 1 - i)) writes, not a reload.  `candidates` reads the
+    rotations open at the mobile end straight off the slots and `pos`.
 
-    `load` writes the path at the centre of the buffer.  A head copy or an
-    extension that would pass either end of the buffer first moves the
-    window back to the centre, where a path of at most n vertices has 1.5n
-    free slots on each side, more than one copy or push needs.  Whole-path
-    writes are slice copies plus one loop over `pos`.
+    `load` writes the path at the centre of the buffer.  A head copy, a
+    reopen or an extension that would pass either end of the buffer first
+    moves the window back to the centre, where a path of at most n vertices
+    has 1.5n free slots on each side, more than one copy or push needs.
+    Whole-path writes are slice copies plus one loop over `pos`.
     """
 
     __slots__ = ("arr", "pos", "lo", "hi", "flip")
@@ -186,12 +191,15 @@ class PathBuf:
 
     def _centre(self, seq):
         """Write `seq` upwards at the centre of the buffer as the window."""
-        arr = self.arr
-        lo = (len(arr) - len(seq)) // 2
+        lo = (len(self.arr) - len(seq)) // 2
         self.lo, self.hi = lo, lo + len(seq)
-        arr[self.lo : self.hi] = seq
+        self._write(seq, lo)
+
+    def _write(self, seq, a):
+        """Write `seq` upwards into the slots from a on, and their `pos`."""
+        self.arr[a : a + len(seq)] = seq
         pos = self.pos
-        for k, v in enumerate(seq, lo):
+        for k, v in enumerate(seq, a):
             pos[v] = k
 
     def __len__(self):
@@ -251,8 +259,6 @@ class PathBuf:
         if hi - lo - h <= h:
             a, b = (lo, pivot) if flip else (pivot + 1, hi)
             seg = arr[a:b]
-            seg.reverse()
-            arr[a:b] = seg
         else:
             if (lo if flip else len(arr) - hi) < h:  # no room past the mobile end
                 self._centre(arr[lo:hi])
@@ -265,13 +271,66 @@ class PathBuf:
                 seg = arr[lo : lo + h]
                 a = hi
                 self.lo, self.hi = lo + h, hi + h
-            seg.reverse()
-            arr[a : a + h] = seg
             self.flip = not flip
-        pos = self.pos
-        for k, v in enumerate(seg, a):
-            pos[v] = k
+        seg.reverse()
+        self._write(seg, a)
         return out
+
+    def reopen(self, i, u):
+        """Read the held path p as a cycle, open it after logical position i
+        and push the off-path vertex u: the path becomes
+        p[i+1:] + p[:i+1] + (u,).  The slots below the cut move, unreversed,
+        past the top of the window or the slots above it past the bottom,
+        whichever is fewer, O(min(i + 1, q - 1 - i)) writes; u goes to the
+        mobile end.  A bad i or u raises `ValueError` before anything moves.
+        """
+        lo, hi = self.lo, self.hi
+        q = hi - lo
+        if not 0 <= i < q:
+            raise ValueError(f"cut position {i} out of range for length {q}")
+        if not 0 <= u < len(self.pos) or self.pos[u] >= 0:
+            raise ValueError(f"vertex {u} is out of range or on the path")
+        arr = self.arr
+        k = q - 1 - i if self.flip else i + 1  # slots below the cut
+        up = k <= q - k  # they move past the top, else the rest past the bottom
+        if (len(arr) - hi if up else lo) < min(k, q - k):  # no room there
+            self._centre(arr[lo:hi])
+            lo, hi = self.lo, self.hi
+        if up:
+            seg, a = arr[lo : lo + k], hi
+            self.lo, self.hi = lo + k, hi + k
+        else:
+            seg, a = arr[lo + k : hi], lo - (q - k)
+            self.lo, self.hi = a, lo + k
+        self._write(seg, a)
+        self._push(u, not self.flip)
+
+    def candidates(self, g, protected_edge=None):
+        """The rotations open at the mobile end: the logical positions i of
+        its neighbours with i <= q-3, in `g.neighbors` order, skipping one
+        whose rotation would break `protected_edge`, and the subset of them
+        whose rotation makes an endpoint adjacent to the first vertex."""
+        arr, pos, lo, hi = self.arr, self.pos, self.lo, self.hi
+        if self.flip:  # logical i sits in slot hi-1-i, its successor one below
+            first, last = arr[hi - 1], arr[lo]
+            kmin, kmax, step, base, sign = lo + 2, hi - 1, -1, hi - 1, -1
+        else:
+            first, last = arr[lo], arr[hi - 1]
+            kmin, kmax, step, base, sign = lo, hi - 3, 1, lo, 1
+        near_first = g.neighbors(first)
+        out, closing = [], []
+        for u in g.neighbors(last):
+            k = pos[u]
+            if not kmin <= k <= kmax:  # off the path (-1) or too near the end
+                continue
+            succ = arr[k + step]
+            if protected_edge is not None and edge_key(u, succ) == protected_edge:
+                continue
+            i = sign * (k - base)
+            out.append(i)
+            if succ in near_first:
+                closing.append(i)
+        return out, closing
 
     def _push(self, v, high):
         if high:
@@ -294,23 +353,15 @@ class PathBuf:
         Deterministic (smallest neighbor first) unless an rng is supplied.
         """
         pos = self.pos
-
-        def pick(v):
-            options = [u for u in g.neighbors(v) if pos[u] < 0]
-            if not options:
-                return None
-            if rng is None:
-                return min(options)
-            return rng.choice(options)
-
+        choose = min if rng is None else rng.choice
         while True:
-            nxt = pick(self.last)
-            if nxt is not None:
-                self._push(nxt, not self.flip)
+            options = [u for u in g.neighbors(self.last) if pos[u] < 0]
+            if options:
+                self._push(choose(options), not self.flip)
                 continue
-            prev = pick(self.first)
-            if prev is not None:
-                self._push(prev, self.flip)
+            options = [u for u in g.neighbors(self.first) if pos[u] < 0]
+            if options:
+                self._push(choose(options), self.flip)
                 continue
             break
 

@@ -3,13 +3,14 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import hamlab
-from hamlab import closing
+from hamlab import cli, closing
 from hamlab.cli import (
     EXIT_INDETERMINATE,
     EXIT_INTERNAL,
@@ -355,6 +356,63 @@ def test_gen_random_regular_stops_at_the_work_budget(monkeypatch):
     assert proc.returncode == EXIT_INDETERMINATE
     assert proc.stdout == ""
     assert "work budget exceeded: random_regular(40, 9)" in proc.stderr
+
+
+def test_env_work_budget_reaches_the_builder_and_the_check(capsys, monkeypatch):
+    argv = ("check", "--expansion", "--s", "3", "--expand-d", "2", "--family", "complete",
+            "--n", "30")
+    # complete(30) has 435 edges; the check then needs 30 + 435 + 4060 subsets
+    for budget, what in (("434", "complete(30): 435 edges"), ("435", "exact expansion")):
+        monkeypatch.setenv("HAMLAB_WORK_BUDGET", budget)
+        code, out = run(capsys, *argv)
+        assert code == EXIT_INDETERMINATE
+        assert what in json.loads(out)["detail"]
+
+
+def _gen_child(args, limit_bytes=None):
+    """Run `hamlab gen` in a child process at the default work budget, with
+    its address space capped at `limit_bytes` when given."""
+    src = str(pathlib.Path(hamlab.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "HAMLAB_WORK_BUDGET"}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "hamlab.cli", "gen", *args],
+        env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+        preexec_fn=cap if limit_bytes is not None else None,
+    )
+
+
+def test_gen_gnp_refuses_draws_past_the_work_budget():
+    # 60000 * 59999 / 2 draws would run for minutes; the timeout fails a
+    # generator that starts drawing
+    proc = _gen_child(["--family", "gnp", "--n", "60000", "--p", "0"])
+    assert proc.returncode == EXIT_INDETERMINATE
+    assert proc.stdout == ""
+    assert "work budget exceeded: gnp(60000, 0.0): 1799970000 edge draws" in proc.stderr
+
+
+def test_gen_complete_refuses_edges_past_the_work_budget():
+    # about 2e8 edge tuples would need tens of GB; the cap turns an attempt
+    # into a MemoryError in the child instead of exhausting the machine
+    proc = _gen_child(["--family", "complete", "--n", "20000"], limit_bytes=1 << 30)
+    assert proc.returncode == EXIT_INDETERMINATE
+    assert "work budget exceeded: complete(20000): 199990000 edges" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_is_a_one_line_exit_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "gen", exhausted)
+    code = main(["gen", "--family", "complete", "--n", "4"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INDETERMINATE
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_env_work_budget_float_notation(capsys, monkeypatch):

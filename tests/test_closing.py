@@ -24,6 +24,7 @@ from hamlab import (
     cycle_graph,
     decompose,
     double_rotation_targets,
+    edge_key,
     extend,
     find_hamilton_cycle,
     gnp,
@@ -341,6 +342,42 @@ def test_close_proof_faithful_random_positives():
             wins += 1
     assert tried >= 10
     assert wins >= tried // 2  # the pipeline carries real weight
+
+
+def reference_absorb(g, cycle_seq, protected_edge=None):
+    """The reopened tuple `absorb` returned before it returned a site."""
+    members = set(cycle_seq)
+    m = len(cycle_seq)
+    for idx, v in enumerate(cycle_seq):
+        if protected_edge is not None:
+            succ = cycle_seq[(idx + 1) % m]
+            if edge_key(v, succ) == protected_edge:
+                continue
+        for u in sorted(g.neighbors(v)):
+            if u not in members:
+                return cycle_seq[idx + 1 :] + cycle_seq[: idx + 1] + (u,)
+    return None
+
+
+def test_absorb_site_matches_the_reopened_tuple():
+    rng = random.Random("absorb-site")
+    sites = 0
+    for i in range(400):
+        n = rng.randint(3, 16)
+        g = gnp(n, rng.uniform(0.05, 0.6), seed=f"site:{i}")
+        cycle = tuple(rng.sample(range(n), rng.randint(1, n - 1)))
+        m = len(cycle)
+        k = rng.randrange(m)
+        for edge in (None, edge_key(cycle[k], cycle[(k + 1) % m]), (0, n - 1)):
+            site = closing.absorb(g, cycle, edge)
+            expected = reference_absorb(g, cycle, edge)
+            if expected is None:
+                assert site is None
+                continue
+            idx, u = site
+            assert cycle[idx + 1 :] + cycle[: idx + 1] + (u,) == expected
+            sites += 1
+    assert sites >= 600
 
 
 def test_close_proof_faithful_absorbs_short_paths(monkeypatch):

@@ -506,6 +506,29 @@ def test_f_connected_examples():
     assert check_f_connected(complete(4), FConnSpec.constant(2)).holds  # vacuous
 
 
+def test_implication_i_stops_at_half_the_vertices():
+    """Sets of more than n/2 vertices cannot fail implication (i), so the
+    default s_small = n // 2 gives the verdicts and witnesses of s_small = n
+    with less work."""
+    rep = fconn_implies_conditions(complete(26), FConnSpec.klogk())
+    assert (rep.verdict, rep.params["s_small"], rep.work) == ("holds", 13, 38754757)
+    rng = random.Random("s-small")
+    fns = [FConnSpec.constant(0), FConnSpec.constant(1), FConnSpec.klogk()]
+    verdicts = set()
+    for i in range(120):
+        n = rng.randint(2, 11)
+        g = gnp(n, rng.uniform(0.1, 0.9), seed=f"s-small:{i}")
+        f, d = fns[i % 3], rng.choice((0.5, 1.0, 2.0, 12.0))
+        rep = fconn_implies_conditions(g, f, d=d)
+        full = fconn_implies_conditions(g, f, d=d, s_small=g.n)
+        assert (rep.verdict, rep.witness) == (full.verdict, full.witness)
+        assert rep.work <= full.work
+        if rep.params["premise"] == "holds":
+            assert rep.params["s_small"] == n // 2
+        verdicts.add(rep.verdict)
+    assert verdicts == {"holds", "fails", "indeterminate"}
+
+
 def test_f_connected_is_bounded_by_the_work_budget(monkeypatch):
     """The subset walk decides by its budget, not by a size cap: C_27 has
     2^26 - 1 sides of size <= 13, within the default 1e8 budget, and the walk

@@ -3,6 +3,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,8 @@ from hamlab import (
     GraphFormatError,
     Path,
     Verdict,
+    WorkBudgetExceeded,
+    bfs_distances,
     clique_plus_isolated,
     complete,
     complete_bipartite,
@@ -211,6 +214,37 @@ def test_is_connected_examples():
     assert is_connected(complete(4))
     assert not is_connected(clique_plus_isolated(5, 1))
     assert is_connected(Graph(1))
+
+
+def test_is_connected_matches_the_distance_search():
+    rng = random.Random("connected")
+    seen = set()
+    for i in range(300):
+        n = i if i < 3 else rng.randint(3, 30)
+        g = gnp(n, rng.uniform(0.0, 0.3), seed=f"conn:{i}")
+        if i % 3 == 0 and n >= 2:  # two copies side by side are never connected
+            g = Graph(2 * n, list(g.edges) + [(u + n, v + n) for u, v in g.edges])
+        expected = g.n > 0 and min(bfs_distances(g, 0)) >= 0
+        assert is_connected(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_dense_generators_stop_at_the_work_budget(monkeypatch):
+    # 45 = 10 * 9 / 2: the pairs of 10 vertices fit, those of 11 do not
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "45")
+    assert len(complete(10).edges) == 45
+    assert gnp(10, 1.0).edges == complete(10).edges
+    assert len(complete_bipartite(5, 9).edges) == 45
+    assert clique_plus_isolated(10, 100).n == 110
+    for build, what in (
+        (lambda: complete(11), "complete(11): 55 edges"),
+        (lambda: gnp(11, 0.0), "gnp(11, 0.0): 55 edge draws"),
+        (lambda: complete_bipartite(5, 10), "complete_bipartite(5, 10): 50 edges"),
+        (lambda: clique_plus_isolated(11, 0), "clique_plus_isolated(11, 0): 55 edges"),
+    ):
+        with pytest.raises(WorkBudgetExceeded, match=re.escape(what)):
+            build()
 
 
 def test_generator_shapes():

@@ -1,6 +1,8 @@
 """PathBuf against the frozen-Path reference: every rotation, extension,
-reversal and reload leaves the buffer holding the same path as `rotate`,
-the list-based extension loop and `Path.reversed` give."""
+reversal, reopen and reload leaves the buffer holding the same path as
+`rotate`, the list-based extension loop, `Path.reversed` and the reopened
+tuple give, and `candidates` gives the positions that the old scan gives
+over the frozen path."""
 
 import random
 
@@ -59,6 +61,24 @@ OPS = st.lists(
     ),
     max_size=40,
 )
+
+
+def reference_candidates(g, ref, protected_edge=None):
+    """The candidate scan `close_heuristic` ran before `PathBuf.candidates`,
+    over the frozen path."""
+    q = len(ref)
+    candidates, closing = [], []
+    for u in g.neighbors(ref.last):
+        i = ref.pos.get(u)
+        if i is None or i > q - 3:
+            continue
+        succ = ref[i + 1]
+        if protected_edge is not None and edge_key(u, succ) == protected_edge:
+            continue
+        candidates.append(i)
+        if g.has_edge(ref.first, succ):
+            closing.append(i)
+    return candidates, closing
 
 
 def assert_same(buf, ref):
@@ -123,6 +143,17 @@ def test_pathbuf_rejects_bad_input():
             buf.rotate(i)
 
 
+def test_rejected_reopen_leaves_the_held_path():
+    buf = PathBuf(6, (0, 1, 2, 3))
+    for flip in (False, True):
+        ref = Path((0, 1, 2, 3)) if not flip else Path((3, 2, 1, 0))
+        for i, u in ((-1, 4), (4, 4), (0, 2), (0, -1), (0, 6), (3, 0)):
+            with pytest.raises(ValueError):
+                buf.reopen(i, u)
+            assert_same(buf, ref)
+        buf.reverse()
+
+
 def test_rejected_load_leaves_the_held_path():
     buf = PathBuf(5, (0, 1, 2, 3))
     for bad in ((4, 1, 4), (4, 5), (-1, 4)):
@@ -154,12 +185,49 @@ def rotate_both(g, buf, ref, i, seen):
     return new
 
 
+class CountingList(list):
+    """A list that counts the slots its item and slice assignments write."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += len(value) if isinstance(key, slice) else 1
+        super().__setitem__(key, value)
+
+
+def reopen_both(buf, ref, i, u, seen):
+    """Reopen buf and the reference after i with u, check them equal and the
+    slots written, and record which arc moved in which orientation, or at
+    which end a reopen found no room and recentred."""
+    q, lo, hi, flip = len(ref), buf.lo, buf.hi, buf.flip
+    buf.arr = CountingList(buf.arr)
+    buf.reopen(i, u)
+    writes, buf.arr = buf.arr.writes, list(buf.arr)
+    new = Path(ref.vertices[i + 1 :] + ref.vertices[: i + 1] + (u,))
+    assert_same(buf, new)
+    k = q - 1 - i if flip else i + 1  # slots below the cut
+    if k <= q - k:  # they move past the top
+        end, room, (a, b) = "top", len(buf.arr) - hi >= k, (lo + k, hi + k)
+    else:  # the slots above the cut move past the bottom
+        end, room, (a, b) = "bottom", lo >= q - k, (lo - (q - k), lo + k)
+    if not room:
+        seen.add(("reopen-recentre", end))
+    elif (buf.lo, buf.hi) != ((a - 1, b) if flip else (a, b + 1)):
+        seen.add(("push", "bottom" if flip else "top"))  # u found no room
+    else:
+        assert writes <= min(i + 1, q - 1 - i) + 1
+        head_moved = (end == "top") != flip  # the head lies below the cut unless flipped
+        seen.add(("reopen", "head" if head_moved else "tail", flip))
+    return new
+
+
 def follow(g, start, ops):
     """Apply `ops` to a PathBuf and to the frozen-Path reference, checking
     them equal after every step and the buffer's size.  Returns the layout
     events the buffer went through: each rotation branch and each head copy
-    that recentred, with the orientation they started from, and a push at
-    either end of the buffer that found no room."""
+    that recentred, with the orientation they started from, a push at
+    either end of the buffer that found no room, and the reopen events of
+    `reopen_both`."""
     buf = PathBuf(g.n, start)
     ref = Path(start)
     seen = set()
@@ -191,6 +259,14 @@ def follow(g, start, ops):
         elif kind == "reverse":
             buf.reverse()
             ref = ref.reversed()
+        elif kind == "reopen":
+            # a path of g: cut anywhere when the ends are adjacent, else after the last
+            q = len(ref)
+            i = arg % q if q < 3 or g.has_edge(ref.first, ref.last) else q - 1
+            off = sorted(u for u in g.neighbors(ref[i]) if u not in ref)
+            if not off:
+                continue
+            ref = reopen_both(buf, ref, i, off[arg // q % len(off)], seen)
         else:
             # a prefix, in either direction: shorter paths leave room to extend
             seq = ref.vertices[: 1 + arg % len(ref)]
@@ -198,6 +274,10 @@ def follow(g, start, ops):
             buf.load(ref.vertices)
         assert_same(buf, ref)
         assert len(buf.arr) == 4 * g.n
+        # unprotected, and protecting a path edge picked by arg
+        j = arg % max(len(ref) - 1, 1)
+        for edge in (None, edge_key(ref[j], ref[min(j + 1, len(ref) - 1)])):
+            assert buf.candidates(g, edge) == reference_candidates(g, ref, edge)
     return seen
 
 
@@ -210,6 +290,12 @@ LAYOUT_EVENTS = {
     ("recentre", True),
     ("push", "top"),
     ("push", "bottom"),
+    ("reopen", "head", False),
+    ("reopen", "head", True),
+    ("reopen", "tail", False),
+    ("reopen", "tail", True),
+    ("reopen-recentre", "top"),
+    ("reopen-recentre", "bottom"),
 }
 
 
@@ -229,7 +315,9 @@ def larger_graphs(draw):
 # loads are rare, since each one moves the window back to the centre
 LONG_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["rotate"] * 6 + ["extend"] * 2 + ["reverse"] * 3 + ["load"]),
+        st.sampled_from(
+            ["rotate"] * 6 + ["extend"] * 2 + ["reverse"] * 3 + ["reopen"] * 2 + ["load"]
+        ),
         st.integers(0, 2**16),
     ),
     min_size=100,
@@ -244,12 +332,28 @@ LONG_OPS = st.lists(
 # pair finds no room and recentres, and 17 more bring the window within reach
 # of an extension's 8 pushes.  Then the tail branch in both orientations, and
 # the same walk towards the bottom.
-DRIFT = [("rotate", 0), ("reverse", 0)] * 40 + [("extend", 0)]
+#
+# Then reopens from a 3-vertex prefix: at i = 0 and i = q - 2, where the head
+# and the tail are the shorter arc, in both orientations.  21 drift pairs
+# take the 7-vertex window to the top of the buffer, so a reopen at 0 finds
+# no room for its one-slot head and recentres; 21 pairs down from the other
+# orientation do the same at the bottom.
+STEP = [("rotate", 0), ("reverse", 0)]
+DRIFT = STEP * 40 + [("extend", 0)]
+REOPENS = (
+    [("load", 2), ("reopen", 0), ("reopen", 2), ("reverse", 0), ("reopen", 0)]
+    + [("reopen", 4), ("reverse", 0)]
+    + STEP * 21
+    + [("reopen", 0), ("reverse", 0)]
+    + STEP * 21
+    + [("reopen", 0)]
+)
 DRIFT_OPS = (
     [("extend", 0), ("load", 3)]
     + DRIFT
     + [("rotate", 9), ("reverse", 0), ("rotate", 9), ("load", 3), ("reverse", 0)]
     + DRIFT
+    + REOPENS
 )
 
 
