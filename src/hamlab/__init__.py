@@ -58,7 +58,6 @@ from .rotation import (
     endpoint_family,
     extend,
     reconstruct_path,
-    replay_chain,
     rotate,
 )
 from .pivots import (

@@ -56,10 +56,6 @@ class SegmentDecomposition:
     seg_of: tuple  # base position -> index of the segment holding it
     starts: tuple  # base position where each segment starts, then len(base)
 
-    @property
-    def count(self):
-        return len(self.segments)
-
     def segment_index_of(self, v):
         i = self.base.pos.get(v)
         if i is None:
@@ -572,6 +568,8 @@ def find_hamilton_cycle(
     restarts with a heuristic fallback; the rotation budget is shared across
     all restarts.  Every returned cycle passes the final validation gate.
     """
+    if budget < 0:
+        raise ValueError(f"rotation budget must be non-negative, got {budget}")
     stats = new_stats()
     if g.n < 3:
         return SearchResult(None, "too_small", stats)

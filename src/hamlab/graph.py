@@ -396,6 +396,8 @@ def complete(n):
 
 
 def complete_bipartite(a, b):
+    if a < 0 or b < 0:
+        raise ValueError("part sizes must be non-negative")
     _check_work(f"complete_bipartite({a}, {b})", a * b, "edges")
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
@@ -458,6 +460,8 @@ def random_regular(n, d, seed=0):
 
 
 def clique_plus_isolated(clique_size, isolated_count):
+    if clique_size < 0 or isolated_count < 0:
+        raise ValueError("part sizes must be non-negative")
     what = f"clique_plus_isolated({clique_size}, {isolated_count})"
     return Graph(clique_size + isolated_count, _clique_edges(clique_size, what))
 
@@ -518,6 +522,7 @@ def load_edge_list(text):
         raise GraphFormatError(f"malformed header {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative counts in header")
+    _check_work(f"edge list with header {n} {m}", m, "edges")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

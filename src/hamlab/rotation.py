@@ -118,16 +118,6 @@ def run_successor(runs, p):
     raise ValueError(f"base position {p} is not on the path")
 
 
-def chain_runs(base, step):
-    """The runs of the base path after the rotation chain ending at `step`
-    (None for no rotation)."""
-    runs = ((0, len(base) - 1),)
-    if step is not None:
-        for s in step.chain():
-            runs = rotated_runs(runs, run_successor(runs, base.pos[s.pivot])[0])
-    return runs
-
-
 def runs_path(base, runs):
     """The `Path` that `runs` hold over the base path."""
     seq = base.vertices
@@ -378,37 +368,20 @@ def extend(g, path, rng=None):
 
 @dataclass
 class EndpointFamily:
-    """Layered endpoint sets S_0..S_t with replayable rotation chains; the
-    path to an endpoint is rebuilt from its chain by `reconstruct_path`."""
+    """Layered endpoint sets S_0..S_t.  Each endpoint's runs over `base`
+    rebuild its path (`reconstruct_path`); its rotation chain is the audit
+    record of how it was reached."""
 
-    base: Path
+    base: Path  # the path the runs are held over
     fixed: int
     layers: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)  # endpoint -> RotationStep | None
-    runs: dict = field(default_factory=dict)  # endpoint -> runs, held as endpoint_family says
+    runs: dict = field(default_factory=dict)  # endpoint -> runs over base
     broken_edges: set = field(default_factory=set)
-    schedule: list = field(default_factory=list)
     stopped: str = ""
 
     def endpoints(self):
         return set(self.chains)
-
-    def chain_steps(self, v):
-        step = self.chains[v]
-        return step.chain() if step is not None else []
-
-    def to_json(self):
-        return {
-            "fixed": self.fixed,
-            "layers": [sorted(layer) for layer in self.layers],
-            "chains": {
-                str(v): [
-                    {"pivot": s.pivot, "broken": list(s.broken_edge)}
-                    for s in self.chain_steps(v)
-                ]
-                for v in sorted(self.endpoints())
-            },
-        }
 
 
 def _pivot_candidates(g, base, sources, used):
@@ -468,9 +441,9 @@ def endpoint_family(
     (`run_successor`) without rotating.  Only the endpoints a layer keeps
     after its trim get a `RotationStep` and their runs, the source's runs
     rotated, in `fam.runs`; `stats` counts every placed candidate as a
-    rotation and its broken edge.  The runs are held over `path`, or with
-    `over` = (other, runs) over that other path, starting from `runs`, the
-    runs of `path` over it.
+    rotation and its broken edge.  The runs are held over `fam.base`: `path`,
+    or with `over` = (other, runs) that other path, starting from `runs`,
+    the runs of `path` over it.
     """
     if total_target is None:
         total_target = math.ceil(g.n / 3)
@@ -478,10 +451,9 @@ def endpoint_family(
     over_path, start = over if over is not None else (path, ((0, q - 1),))
     seq, pos = over_path.vertices, over_path.pos
     fixed = path.first
-    fam = EndpointFamily(base=path, fixed=fixed)
+    fam = EndpointFamily(base=over_path, fixed=fixed)
     terminal = path.last
     fam.layers.append([terminal])
-    fam.schedule.append(1)
     fam.chains[terminal] = None
     fam.runs[terminal] = start
     used = {terminal}
@@ -519,31 +491,16 @@ def endpoint_family(
             fam.broken_edges.add(broken)
             used.add(ep)
         fam.layers.append(layer)
-        fam.schedule.append(target)
     return fam
 
 
 def reconstruct_path(family, v):
-    """The path from the fixed vertex to endpoint v, rebuilt from v's rotation
-    chain (`replay_chain` also revalidates every rotation in the graph)."""
-    if v not in family.chains:
+    """The path from the fixed vertex to endpoint v, rebuilt from v's runs."""
+    if v not in family.runs:
         raise ValueError(f"vertex {v} is not in the family")
-    path = runs_path(family.base, chain_runs(family.base, family.chains[v]))
+    path = runs_path(family.base, family.runs[v])
     if path.first != family.fixed or path.last != v:
-        raise SoundnessError(f"chain for endpoint {v} gives the wrong endpoints")
-    return path
-
-
-def replay_chain(g, base, steps):
-    """Apply a rotation-step chain to a base path, revalidating each rotation."""
-    path = base
-    for step in steps:
-        idx = path.pos[step.pivot]
-        path, applied = rotate(g, path, idx)
-        if applied.broken_edge != step.broken_edge:
-            raise SoundnessError(f"replayed rotation at {step.pivot} breaks another edge")
-        if applied.new_endpoint != step.new_endpoint:
-            raise SoundnessError(f"replayed rotation at {step.pivot} ends elsewhere")
+        raise SoundnessError(f"runs for endpoint {v} give the wrong endpoints")
     return path
 
 
@@ -611,18 +568,13 @@ def closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=Non
     return ClosureResult(set(witness), complete, states, witness)
 
 
-def endpoint_closure_oracle(g, path, fixed=None, max_states=200000):
+def endpoint_closure_oracle(g, path, max_states=200000):
     """Exact set of endpoints reachable by any rotation sequence (fixed first
     vertex), via breadth-first search over path states with deduplication.
 
     When the state budget runs out the partial endpoint set is returned with
     complete=False.
     """
-    if fixed is not None and path.first != fixed:
-        if path.last == fixed:
-            path = path.reversed()
-        else:
-            raise ValueError("fixed vertex is not an endpoint of the path")
     return closure(g, path.vertices, budget=max_states)
 
 

@@ -403,6 +403,32 @@ def test_gen_complete_refuses_edges_past_the_work_budget():
     assert "Traceback" not in proc.stderr
 
 
+def test_edge_list_past_the_work_budget_exits_2(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "g.edges"
+    assert main(["gen", "--family", "complete", "--n", "10", "--out", str(target)]) == EXIT_OK
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "44")
+    assert main(["hamilton", "--in", str(target)]) == EXIT_INDETERMINATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("work budget exceeded: edge list with header 10 45")
+
+
+def test_negative_part_sizes_and_budgets_are_usage_errors(capsys):
+    for argv in (
+        ["gen", "--family", "complete_bipartite", "--a", "-1", "--b", "3"],
+        ["gen", "--family", "clique_plus_isolated", "--clique", "-2", "--isolated", "5"],
+        ["hamilton", "--family", "cycle", "--n", "5", "--budget", "-5"],
+        ["path", "--family", "complete", "--n", "8", "--u", "2", "--v", "5", "--budget", "-1"],
+        ["cycle-k", "--family", "complete", "--n", "8", "--k", "5", "--budget", "-1"],
+    ):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    # a zero budget still allows the first closing attempt
+    code, out = run(capsys, "hamilton", "--family", "cycle", "--n", "5", "--budget", "0")
+    assert code == EXIT_OK and out
+
+
 def test_memory_error_is_a_one_line_exit_2(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from hamlab import (
     CloseFailure,
     Cycle,
-    Graph,
     Path,
-    RotationStep,
     SoundnessError,
     Verdict,
     build_contracted,
@@ -25,6 +23,7 @@ from hamlab import (
     decompose,
     double_rotation_targets,
     edge_key,
+    endpoint_family,
     extend,
     find_hamilton_cycle,
     gnp,
@@ -32,7 +31,7 @@ from hamlab import (
     is_connected,
     path_graph,
     petersen,
-    replay_chain,
+    reconstruct_path,
     rotate,
     select_sigma0,
     unbroken_segments,
@@ -446,6 +445,12 @@ def test_find_hamilton_negative_examples():
     assert not res.found and res.stage == "connectivity"
 
 
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="rotation budget must be non-negative"):
+        find_hamilton_cycle(cycle_graph(5), budget=-1)
+    assert find_hamilton_cycle(cycle_graph(5), budget=0).found
+
+
 def test_soundness_gate_fault_injection(monkeypatch):
     # a buggy closer must never leak an invalid cycle through the gate
     import hamlab.closing as closing
@@ -479,16 +484,14 @@ def test_gnp_positive_rate_auto():
 
 def test_soundness_checks_raise_soundness_error(monkeypatch):
     # a cycle that fails validation is refused by an explicit raise, which
-    # `python -O` keeps, in both closers and in chain replay
+    # `python -O` keeps, in both closers and in path reconstruction
     monkeypatch.setattr(closing, "validate_cycle", lambda g, seq: Verdict(False, "rejected"))
     g = cycle_graph(8)
     with pytest.raises(SoundnessError, match="rejected"):
         close_heuristic(g, Path((0,)))
     with pytest.raises(SoundnessError, match="invalid cycle: rejected"):
         close_proof_faithful(g, Path(range(8)))
-    p = Path(range(5))
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
-    _, step = rotate(g, p, 1)
-    forged = RotationStep(step.pivot, (0, 1), step.new_endpoint)
-    with pytest.raises(SoundnessError, match="breaks another edge"):
-        replay_chain(g, p, [forged])
+    fam = endpoint_family(cycle_graph(5), Path(range(5)), total_target=5)
+    fam.runs[1] = fam.runs[4]  # forged: the runs of another endpoint
+    with pytest.raises(SoundnessError, match="runs for endpoint 1 give the wrong endpoints"):
+        reconstruct_path(fam, 1)

@@ -267,6 +267,18 @@ def test_generator_errors():
         random_regular(5, 3)  # n*d odd
 
 
+def test_generators_reject_negative_part_sizes():
+    for build in (
+        lambda: complete_bipartite(-1, 3),
+        lambda: complete_bipartite(3, -1),
+        lambda: clique_plus_isolated(-2, 5),
+        lambda: clique_plus_isolated(5, -2),
+    ):
+        with pytest.raises(ValueError, match="part sizes must be non-negative"):
+            build()
+    assert complete_bipartite(0, 3).n == 3  # an empty part is still a graph
+
+
 def test_gnp_determinism():
     a = gnp(100, 0.05, seed=7)
     b = gnp(100, 0.05, seed=7)
@@ -325,6 +337,19 @@ def test_edge_list_examples():
         load_edge_list("3 1\n0 5")
     with pytest.raises(GraphFormatError):
         load_edge_list("3 2\n0 1")
+
+
+def test_edge_list_header_counts_against_the_work_budget(monkeypatch):
+    text = save_edge_list(complete(10))
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "45")
+    assert load_edge_list(text).edges == complete(10).edges
+    monkeypatch.setenv("HAMLAB_WORK_BUDGET", "44")
+    with pytest.raises(WorkBudgetExceeded, match="10 45: 45 edges exceed"):
+        load_edge_list(text)
+    # the header alone is refused, before its edge lines are counted or read
+    monkeypatch.delenv("HAMLAB_WORK_BUDGET")
+    with pytest.raises(WorkBudgetExceeded, match="1000000000 edges"):
+        load_edge_list("10 1000000000\n0 1\n")
 
 
 def test_edge_list_round_trip_corpus():

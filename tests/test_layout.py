@@ -4,8 +4,10 @@ an imported module (`from . import rotation` then `rotation._place`).  The
 soundness checks of every module are explicit raises, not `assert`
 statements, which `python -O` strips.  Every function, class, method and
 property of the package is read somewhere in src/, bench/ or tests/, every
-option of its functions and methods is passed by some call there, and every
-function bench/tracing.py wraps is still bound where it looks."""
+option of its functions and methods is passed by some call there, every
+function bench/tracing.py wraps is still bound where it looks, and no module
+but `__init__` imports a hamlab name it never reads, unless
+bench/tracing.py wraps that module's binding of it."""
 
 import ast
 import importlib
@@ -222,6 +224,59 @@ def test_traced_functions_exist():
     }
     assert missing <= STALE_TRACED
 
+
+
+def _unread_imports(source, module, kept=frozenset()):
+    """The hamlab names that `source` (the text of hamlab.<module>) imports
+    and never reads, other than those in `kept`, in line order."""
+    tree = ast.parse(source)
+    imported = []  # (line, local name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "hamlab":
+                imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "hamlab":
+                    imported.append((node.lineno, a.asname or "hamlab"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{module}:{line} imports {name}"
+        for line, name in sorted(imported)
+        if name not in read and name not in kept
+    ]
+
+
+def test_no_unread_hamlab_imports():
+    traced = set(_traced_bindings((ROOT / "bench" / "tracing.py").read_text()))
+    found = [
+        hit
+        for module in sorted(MODULES - {"__init__"})
+        for hit in _unread_imports(
+            (PACKAGE / f"{module}.py").read_text(),
+            module,
+            {name for bound_in, name in traced if bound_in == module},
+        )
+    ]
+    assert found == []
+
+
+def test_import_checker_sees_unread_names():
+    source = """
+from .graph import Path, edge_key
+from . import rotation
+from .rotation import rotate
+import hamlab.pivots as pv
+import os
+
+def f():
+    return Path(()), rotation
+"""
+    assert _unread_imports(source, "closing", {"rotate"}) == [
+        "closing:2 imports edge_key",
+        "closing:5 imports pv",
+    ]
+    assert "closing:4 imports rotate" in _unread_imports(source, "closing")
 
 
 def _options(tree, module):

@@ -27,12 +27,13 @@ from hamlab import (
     extend,
     gnp,
     reconstruct_path,
-    replay_chain,
     rotate,
     select_sigma0,
     unbroken_segments,
 )
-from hamlab.rotation import chain_runs, rotated_runs, run_successor, runs_path
+from hamlab.rotation import rotated_runs, run_successor, runs_path
+
+from chains import replay
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -185,7 +186,7 @@ def test_chain_records_equal_the_whole_path_records(case, chains, data):
         assert len(broken) == len(runs) - 1 <= len(steps)
         layouts[pair] = coded(found)
 
-    segment = data.draw(st.integers(0, dec.count - 1))
+    segment = data.draw(st.integers(0, len(dec.segments) - 1))
     protected_segment = dec.segment_index_of(protected[0]) if protected else None
     for must in (None, segment, protected_segment):
         assert select_sigma0(layouts, must) == reference_select_sigma0(layouts, must)
@@ -208,7 +209,7 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
         assert len(broken) == len(runs) - 1 <= targets.pair_rotations[pair]
     fam = endpoint_family(g, p, total_target=total_target, protected_edge=protected)
     for v in fam.chains:
-        assert reconstruct_path(fam, v) == replay_chain(g, p, fam.chain_steps(v))
+        assert reconstruct_path(fam, v) == replay(g, p, fam.chains[v])
 
 
 class Untouchable:
@@ -249,18 +250,19 @@ def refold(base, runs, step):
 @given(base_paths(), st.integers(1, 16))
 def test_families_hand_over_the_runs_of_their_chains(case, total_target):
     g, p, _, drawn = case
+    whole = ((0, len(p) - 1),)
     for protected in (None, drawn) if drawn else (None,):
         kw = dict(total_target=total_target, protected_edge=protected)
         fam = endpoint_family(g, p, **kw)
         assert fam.runs.keys() == fam.chains.keys()
         for v, step in fam.chains.items():
-            assert fam.runs[v] == chain_runs(p, step)
+            assert fam.runs[v] == refold(p, whole, step)
             check_maximal(fam.runs[v])
         targets = double_rotation_targets(g, p, a_cap=4, **kw)
         pairs = targets.pairs()
         assert sorted({a for a, _ in pairs}) == sorted(fam.chains)[:4]
         for a in sorted(fam.chains)[:4]:
-            runs_a = rotated_runs(chain_runs(p, fam.chains[a]), -1)
+            runs_a = rotated_runs(refold(p, whole, fam.chains[a]), -1)
             p_a = runs_path(p, runs_a)
             fam2 = endpoint_family(g, p_a, **kw)
             assert [b for a2, b in pairs if a2 == a] == sorted(fam2.chains)
@@ -270,7 +272,7 @@ def test_families_hand_over_the_runs_of_their_chains(case, total_target):
                 check_maximal(runs)
                 ppath = targets.pair_path((a, b))
                 assert (ppath.first, ppath.last) == (a, b)
-                assert ppath == replay_chain(g, p_a, fam2.chain_steps(b))
+                assert ppath == replay(g, p_a, step)
 
 
 def record(pair, layout):

@@ -20,7 +20,6 @@ from hamlab import (
     path_graph,
     random_regular,
     reconstruct_path,
-    replay_chain,
     rotate,
     validate_path,
 )
@@ -32,6 +31,8 @@ from hamlab.rotation import (
     run_successor,
     runs_path,
 )
+
+from chains import replay
 
 
 def pentagon():
@@ -122,14 +123,6 @@ def test_closure_oracle_budget_flag():
     assert res.endpoints  # partial set still returned
 
 
-def test_closure_oracle_fixed_argument():
-    p = Path((0, 1, 2, 3, 4))
-    res = endpoint_closure_oracle(pentagon(), p, fixed=4)
-    assert res.endpoints == endpoint_closure_oracle(pentagon(), p.reversed()).endpoints
-    with pytest.raises(ValueError):
-        endpoint_closure_oracle(pentagon(), p, fixed=2)
-
-
 def test_endpoint_family_pentagon():
     fam = endpoint_family(pentagon(), Path((0, 1, 2, 3, 4)), total_target=5)
     assert [sorted(layer) for layer in fam.layers] == [[4], [1]]
@@ -137,14 +130,13 @@ def test_endpoint_family_pentagon():
     assert reconstruct_path(fam, 1).vertices == (0, 4, 3, 2, 1)
 
 
-def test_endpoint_family_json_shape():
+def test_endpoint_family_chain_shape():
     fam = endpoint_family(pentagon(), Path((0, 1, 2, 3, 4)), total_target=5)
-    payload = fam.to_json()
-    assert payload["fixed"] == 0
-    assert payload["layers"] == [[4], [1]]
-    assert payload["chains"]["4"] == []
-    (step,) = payload["chains"]["1"]
-    assert step["pivot"] == 0 and step["broken"] == [0, 1]
+    assert fam.fixed == 0
+    assert fam.layers == [[4], [1]]
+    assert fam.chains[4] is None
+    (step,) = fam.chains[1].chain()
+    assert step.pivot == 0 and step.broken_edge == (0, 1)
 
 
 def test_endpoint_family_k6_reaches_everything():
@@ -166,7 +158,7 @@ def test_family_layers_within_oracle_and_replay():
         base_edges = {edge_key(a, b) for a, b in zip(p.vertices, p.vertices[1:])}
         assert fam.broken_edges <= base_edges  # only base-path edges break
         for v in fam.endpoints():
-            redo = replay_chain(g, p, fam.chain_steps(v))
+            redo = replay(g, p, fam.chains[v])
             assert redo.vertices == reconstruct_path(fam, v).vertices
             assert redo.last == v and len(redo) == len(p)
             assert validate_path(g, redo.vertices)
@@ -179,7 +171,7 @@ def test_family_trims_to_exact_schedule_on_cliques():
     fam = endpoint_family(g, Path(range(60)), d=12.0, total_target=21, surplus=1.0)
     assert fam.stopped == "target_met"
     for t, layer in enumerate(fam.layers[1:], start=1):
-        assert len(layer) == fam.schedule[t] == 4 ** t
+        assert len(layer) == 4 ** t  # the layer target ceil((d/3)^t) at d = 12
 
 
 def test_replayed_regular_graph_families():
@@ -238,10 +230,9 @@ def eager_endpoint_family(
     over_path, start = over if over is not None else (path, ((0, q - 1),))
     seq, pos = over_path.vertices, over_path.pos
     fixed = path.first
-    fam = EndpointFamily(base=path, fixed=fixed)
+    fam = EndpointFamily(base=over_path, fixed=fixed)
     terminal = path.last
     fam.layers.append([terminal])
-    fam.schedule.append(1)
     fam.chains[terminal] = None
     fam.runs[terminal] = start
     used = {terminal}
@@ -281,7 +272,6 @@ def eager_endpoint_family(
             fam.broken_edges.add(step.broken_edge)
             used.add(ep)
         fam.layers.append(layer)
-        fam.schedule.append(target)
     return fam
 
 
@@ -322,7 +312,6 @@ def test_endpoint_family_matches_the_eager_builder():
             cases.append((fam2, ref2, stats, ref_stats))
         for fam, ref, stats, ref_stats in cases:
             assert fam.layers == ref.layers
-            assert fam.schedule == ref.schedule
             assert fam.chains == ref.chains
             assert fam.runs == ref.runs
             assert fam.broken_edges == ref.broken_edges
@@ -358,6 +347,11 @@ def test_runs_are_built_only_for_kept_endpoints(monkeypatch):
     assert stats["rotations"] > kept  # an eager builder would rotate more
 
 
+def chain_length(fam, v):
+    step = fam.chains[v]
+    return len(step.chain()) if step is not None else 0
+
+
 def test_pair_rotations_are_the_chain_lengths():
     for g, p, protected, kw in family_cases():
         kw = dict(kw, protected_edge=protected)
@@ -368,6 +362,6 @@ def test_pair_rotations_are_the_chain_lengths():
             runs_a = rotated_runs(fam1.runs[a], -1)
             fam2 = endpoint_family(g, runs_path(p, runs_a), over=(p, runs_a), **kw)
             for b in fam2.chains:
-                want = len(fam1.chain_steps(a)) + len(fam2.chain_steps(b))
+                want = chain_length(fam1, a) + chain_length(fam2, b)
                 assert out.pair_rotations[(a, b)] == want
         assert len(out.pair_rotations) == len(out.pairs())
