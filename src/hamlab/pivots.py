@@ -218,14 +218,8 @@ def process_bad_vertices(h, audit):
             for cand in sorted(t_t):
                 if cand == spine[0] or cand == spine[-1]:
                     continue
-                src = None
-                for y in sorted(w_t):
-                    if hg.has_edge(cand, y):
-                        src = y
-                        break
-                if src is None:
-                    continue
-                seq = paths[src]
+                # every vertex of T_t has a neighbour in W_t
+                seq = paths[min(hg.neighbors(cand).intersection(w_t))]
                 i = seq.index(cand)
                 if i > len(seq) - 3:
                     raise SoundnessError("pivot adjacent to its endpoint")

@@ -451,6 +451,29 @@ def test_negative_budget_is_refused():
     assert find_hamilton_cycle(cycle_graph(5), budget=0).found
 
 
+def test_unknown_mode_is_refused():
+    from hamlab import gnp_trials, hamilton_path_between
+
+    with pytest.raises(ValueError, match="unknown mode"):
+        find_hamilton_cycle(cycle_graph(6), mode="heurstic", budget=100)
+    with pytest.raises(ValueError, match="unknown mode"):
+        hamilton_path_between(complete(6), 0, 1, mode="heurstic", budget=100)
+    with pytest.raises(ValueError, match="unknown mode"):
+        gnp_trials(8, 0.5, 1, budget=100, mode="heurstic")
+
+
+def test_proof_faithful_closes_on_every_good_pivot_and_anchor():
+    # guards against a cap on the good pivots or on the b-anchors tried: with
+    # six pivots per model and eight b-anchors per a-anchor, only graph seeds
+    # 4 and 5 close here, and the others stop at closing_edge
+    n = 200
+    for s in range(8):
+        g = gnp(n, 3 * math.log(n) / n, seed=s)
+        res = find_hamilton_cycle(g, mode="proof_faithful", budget=20000, seed=1)
+        assert res.found, (s, res.stage)
+        assert validate_cycle(g, res.cycle.vertices, hamilton=True)
+
+
 def test_soundness_gate_fault_injection(monkeypatch):
     # a buggy closer must never leak an invalid cycle through the gate
     import hamlab.closing as closing

@@ -585,9 +585,9 @@ def observe_pipeline_records(monkeypatch):
     return out
 
 
-EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
-           'record_digest': '35976944a7a48f97',
-           'records': 562,
+EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'Cycle',
+           'record_digest': '7ff8ded322e0058a',
+           'records': 830,
            'rotations': [1, 2, 3, 4],
            'sigma0': [{'must_include': {'pairs': '01737988ebfb81ae',
                                         'sigma0': [[1, True], [0, True]]},
@@ -600,7 +600,13 @@ EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'CloseFailure',
                        'protected_segment': None,
                        'records': 276,
                        'unset': {'pairs': '6c81a654dd092d2f',
-                                 'sigma0': [[0, False], [1, False]]}}]},
+                                 'sigma0': [[0, False], [1, False]]}},
+                      {'must_include': {'pairs': 'f58c63f96029137b',
+                                        'sigma0': [[0, False], [1, False]]},
+                       'protected_segment': None,
+                       'records': 268,
+                       'unset': {'pairs': '1f9152d0633b09dc',
+                                 'sigma0': [[4, True], [3, True]]}}]},
  'gnp50_protected': {'outcome': 'Cycle',
                      'record_digest': '86d773d75e1dd4c3',
                      'records': 900,
