@@ -88,7 +88,6 @@ from .applications import (
     fconnected_pipeline,
     gnp_trials,
     hamilton_connected_oracle,
-    hamilton_cycle_through_edge,
     hamilton_path_between,
     hamilton_path_oracle,
     hamiltonian_oracle,

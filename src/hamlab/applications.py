@@ -221,23 +221,21 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
         verdict = validate_path(g_uv, spanning)
         if not verdict:
             raise SoundnessError(f"opened cycle is not a path: {verdict.reason}")
-        pos = {w: i for i, w in enumerate(spanning)}
-        if {spanning[0], spanning[-1]} == {u, v}:
-            closed = Cycle(spanning)
-        else:
-            if abs(pos[u] - pos[v]) != 1:
+        if {spanning[0], spanning[-1]} != {u, v}:
+            # (u, v) is interior: re-close around it, then open it again
+            if abs(spanning.index(u) - spanning.index(v)) != 1:
                 raise SoundnessError("protected edge must lie on the path")
             closed = _close_protected(
                 g_uv, Path(spanning), protected, mode, budget, (seed, attempt),
                 stats, broken_log,
             )
-        if closed is None:
-            continue
-        out = _strip_protected(closed.vertices, u, v)
-        verdict = validate_path(g, out, endpoints=(u, v))
+            if closed is None:
+                continue
+            spanning = _strip_protected(closed.vertices, u, v)
+        verdict = validate_path(g, spanning, endpoints=(u, v))
         if not verdict:
             raise SoundnessError(verdict.reason)
-        return PathSearchResult(Path(out), None, stats, broken_log)
+        return PathSearchResult(Path(spanning), None, stats, broken_log)
     return PathSearchResult(None, "retries_exhausted", stats, broken_log)
 
 
@@ -281,22 +279,6 @@ def _strip_protected(cycle_seq, u, v):
         raise SoundnessError(f"{u} and {v} are not adjacent on the cycle")
     k = i if (i + 1) % n == j else j
     return tuple(cycle_seq[k + 1 :] + cycle_seq[: k + 1])
-
-
-def hamilton_cycle_through_edge(g, e, budget=100000):
-    """Hamilton cycle containing the edge e (which must be present in g)."""
-    u, v = e
-    check_vertices(g, e)
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    res = hamilton_path_between(g, u, v, budget=budget)
-    if not res.found:
-        return None
-    cycle = Cycle(res.path.vertices)
-    verdict = validate_cycle(g, cycle.vertices, hamilton=True)
-    if not verdict:
-        raise SoundnessError(f"cycle through the edge is invalid: {verdict.reason}")
-    return cycle
 
 
 # ---------------------------------------------------------------------------

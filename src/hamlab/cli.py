@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .conditions import (
@@ -56,30 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Serializable record of one invocation; replaying it reproduces output."""
+def _load_config(path):
+    """The argv of a saved invocation; replaying it reproduces the output."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+        raise UsageError(f"unsupported config schema in {path}")
+    argv = payload.get("argv")
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise UsageError(f"config {path} needs an argv list of strings")
+    return argv
 
-    argv: list = field(default_factory=list)
 
-    def to_json(self):
-        return {"schema": SCHEMA, "argv": list(self.argv)}
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-            raise UsageError(f"unsupported config schema in {path}")
-        argv = payload.get("argv")
-        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
-            raise UsageError(f"config {path} needs an argv list of strings")
-        return RunConfig(argv)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+def _save_config(path, argv):
+    with open(path, "w") as fh:
+        json.dump({"schema": SCHEMA, "argv": argv}, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _emit(text, out_path):
@@ -128,6 +119,7 @@ def _graph_from_args(args):
 
 
 def _add_graph_source(p):
+    """The flags of every command that reads a graph: its source and --out."""
     p.add_argument("--in", dest="infile", help="edge-list file")
     p.add_argument("--family", help="named family instead of a file")
     p.add_argument("--n", type=int)
@@ -138,6 +130,7 @@ def _add_graph_source(p):
     p.add_argument("--clique", type=int)
     p.add_argument("--isolated", type=int)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
 
 
 @functools.cache
@@ -152,7 +145,6 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a named family to an edge list")
     _add_graph_source(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("check", help="run a condition checker")
     _add_graph_source(p)
@@ -168,14 +160,12 @@ def build_parser():
     p.add_argument("--preset", default="klogk", choices=["klogk", "quadratic"])
     p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     p.add_argument("--format", default="json", choices=["json", "text"])
-    p.add_argument("--out")
 
     p = sub.add_parser("hamilton", help="search for a Hamilton cycle")
     _add_graph_source(p)
     p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--format", default="text", choices=["json", "text"])
-    p.add_argument("--out")
 
     p = sub.add_parser("path", help="Hamilton path between two vertices")
     _add_graph_source(p)
@@ -183,7 +173,6 @@ def build_parser():
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
     p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--out")
 
     p = sub.add_parser("cycle-k", help="cycle of exact length k")
     _add_graph_source(p)
@@ -191,14 +180,12 @@ def build_parser():
     p.add_argument("--t", type=int, default=10, help="window of k + n // t vertices; t >= 1")
     p.add_argument("--retries", type=int, default=20)
     p.add_argument("--budget", type=int, default=30000)
-    p.add_argument("--out")
 
     p = sub.add_parser("pivot-audit", help="good/bad pivot audit of a spanning path")
     _add_graph_source(p)
     p.add_argument("--path", dest="spine", help="comma-separated spanning path")
     p.add_argument("--ratio", type=float, default=1.0 / 43.0)
     p.add_argument("--budget", type=int, default=200000)
-    p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="G(n,p) success-rate sweep")
     p.add_argument("--n", type=int, required=True)
@@ -216,7 +203,6 @@ def build_parser():
     _add_graph_source(p)
     p.add_argument("--preset", default="klogk", choices=["klogk", "quadratic"])
     p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--out")
 
     return parser
 
@@ -233,18 +219,20 @@ def cmd_check(args):
         if args.expansion:
             if args.s is None:
                 raise UsageError("--expansion needs --s")
-            report = check_expansion(g, args.s, args.expand_d, mode=args.mode)
+            report = check_expansion(
+                g, args.s, args.expand_d, mode=args.mode, seed=args.seed
+            )
         elif args.joined:
             if args.s is None:
                 raise UsageError("--joined needs --s")
-            report = check_joined(g, args.s, mode=args.mode)
+            report = check_joined(g, args.s, mode=args.mode, seed=args.seed)
         elif args.fconn:
             report = check_f_connected(g, FConnSpec.preset(args.preset))
         elif args.conditions:
             d = args.d if args.d is not None else 12
             report = check_conditions(g, d, variant=args.variant, mode=args.mode)
         else:
-            report = check_gnp_properties(g, mode=args.mode)
+            report = check_gnp_properties(g, mode=args.mode, seed=args.seed)
     except WorkBudgetExceeded as exc:
         _dump({"error": "work budget exceeded", "detail": str(exc)}, args.out)
         return EXIT_INDETERMINATE
@@ -304,6 +292,10 @@ def cmd_pivot_audit(args):
         spine = tuple(range(g.n))
     h = SpannedGraph(g, spine)
     audit = classify_pivots(h, args.ratio, budget=args.budget)
+    if audit.cut:
+        detail = f"the budget stopped {len(audit.cut)} pivot closures below the threshold"
+        _dump({"error": "work budget exceeded", "detail": detail}, args.out)
+        return EXIT_INDETERMINATE
     cert = process_bad_vertices(h, audit)
     payload = audit.to_json()
     payload["certificate"] = cert.to_json()
@@ -348,12 +340,7 @@ def cmd_sweep(args):
     for point_rows, agg in results:  # grid order regardless of completion order
         rows.extend(point_rows)
         aggregates.append(agg)
-    csv_text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit("\n".join(rows) + "\n", args.out)
     _dump({"aggregates": aggregates}, None)
     return EXIT_OK
 
@@ -394,7 +381,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.config:
             save_to = args.save_config
-            argv = RunConfig.load(args.config).argv
+            argv = _load_config(args.config)
             args = parser.parse_args(argv)
             args.save_config = save_to or args.save_config
         if args.subcommand is None:
@@ -409,7 +396,7 @@ def main(argv=None):
                 if tok.startswith("--save-config="):
                     continue
                 stripped.append(tok)
-            RunConfig(stripped).save(args.save_config)
+            _save_config(args.save_config, stripped)
         return COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # --help and --version print, then exit with 0
         return exc.code

@@ -386,8 +386,6 @@ def _pipeline_once(g, path, protected_edge, stats):
     if not px < py:
         raise SoundnessError("x must precede y on the pair path")
     p3 = phat.vertices[px : py + 1]
-    if not _untouched(p3, phat):
-        raise SoundnessError("middle subpath must be untouched")
     cycle_seq = tuple(reversed(r1)) + p3[1:-1] + tuple(r2)
     if set(cycle_seq) != set(phat.vertices):
         raise SoundnessError("the cycle does not cover the pair path")
@@ -396,11 +394,6 @@ def _pipeline_once(g, path, protected_edge, stats):
     if not validate_path(g, r2):
         raise SoundnessError("side-2 lift is not a path")
     return cycle_seq
-
-
-def _untouched(p3, phat):
-    # p3 is taken verbatim from phat, by construction
-    return all(phat.pos[v] == phat.pos[p3[0]] + i for i, v in enumerate(p3))
 
 
 def _candidate_pivots(model):
@@ -438,11 +431,9 @@ def _search_closing_edge(g, model1, model2, good1, good2, a_hat_pool, pairs, sta
                 cache[pm] = model_endpoint_paths(
                     model, pm, budget=CLOSURE_BUDGET, log=model_log
                 )
-                w_id = len(model.labels)
+                # no logged edge touches w: its two edges are the forbidden set
                 broken_log.update(
-                    edge_key(model.labels[a], model.labels[b])
-                    for a, b in model_log
-                    if a != w_id and b != w_id
+                    edge_key(model.labels[a], model.labels[b]) for a, b in model_log
                 )
             for ep, seq in cache[pm].items():
                 out.setdefault(model.labels[ep], seq)

@@ -526,22 +526,15 @@ def load_edge_list(text):
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append(edge_key(int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphFormatError(f"malformed edge line {ln!r}") from None
-        if u == v:
-            raise GraphFormatError(f"self-loop at {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex out of range in {ln!r}")
-        e = edge_key(u, v)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, edges)
+    try:  # Graph names the first self-loop, out-of-range vertex or repeat
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None

@@ -90,6 +90,7 @@ class PivotAudit:
     good: list
     bad: list  # R, in spine order
     sizes_exact: bool
+    cut: list = field(default_factory=list)  # bad only because the budget ran out
 
     def to_json(self):
         return {
@@ -107,7 +108,8 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
     A pivot is bad when its endpoint set is smaller than threshold_ratio * l.
     With early_exit, the closure stops as soon as a pivot is provably good;
     recorded sizes are then lower bounds for good pivots (exact for bad ones).
-    A budget below 1 would decide no closure, so it raises ValueError.
+    A bad pivot whose closure the budget stopped is undecided; `cut` lists
+    those.  A budget below 1 would decide no closure, so it raises ValueError.
     """
     if budget < 1:
         raise ValueError("need budget >= 1")
@@ -117,7 +119,7 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
     if stop_at is not None and stop_at <= 0:
         stop_at = 1
     sizes = {}
-    good, bad = [], []
+    good, bad, cut = [], [], []
     exact = True
     for idx in range(1, l - 1):
         v = h.spine[idx]
@@ -127,9 +129,11 @@ def classify_pivots(h, threshold_ratio=GOOD_RATIO, budget=200000, early_exit=Tru
             exact = False
         if len(res.endpoints) < threshold:
             bad.append(v)
+            if not res.complete:
+                cut.append(v)
         else:
             good.append(v)
-    return PivotAudit(h.spine, threshold, sizes, good, bad, exact)
+    return PivotAudit(h.spine, threshold, sizes, good, bad, exact, cut)
 
 
 def ext_of(spine_pos, members, spine):
@@ -196,11 +200,9 @@ def process_bad_vertices(h, audit):
         if successor in x_set:
             traces.append(TraceRecord(v_bad, True))
             continue
-        aug = augment(h, idx)
-        ag = aug.graph
-        w_vertex = aug.added_vertex
-        # per-endpoint spanning path of H+ witnessing membership in W_t
-        paths = {successor: aug.rotated_start}
+        w_vertex = hg.n
+        # per-endpoint spanning path of H+ (spine, then w) witnessing W_t
+        paths = {successor: rotated(spine + (w_vertex,), idx)}
         w_layers = [[successor]]
         w_union = {successor}
         while True:

@@ -22,7 +22,6 @@ from hamlab import (
     find_hamilton_cycle,
     gnp,
     hamilton_connected_oracle,
-    hamilton_cycle_through_edge,
     hamilton_path_between,
     hamilton_path_oracle,
     hamiltonian_oracle,
@@ -328,19 +327,6 @@ def test_protected_searches_check_their_endpoints():
     for u, v, bad in ((-1, 2, -1), (2, -1, -1), (0, 5, 5)):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             hamilton_path_between(g, u, v)
-        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-            hamilton_cycle_through_edge(g, (u, v))
-
-
-def test_hamilton_cycle_through_edge():
-    cyc = hamilton_cycle_through_edge(complete(4), (0, 1))
-    edges = {edge_key(a, b) for a, b in zip(cyc.vertices, cyc.vertices[1:] + cyc.vertices[:1])}
-    assert (0, 1) in edges and len(cyc) == 4
-    cyc = hamilton_cycle_through_edge(cycle_graph(5), (2, 3))
-    assert len(cyc) == 5
-    assert hamilton_cycle_through_edge(complete_bipartite(2, 3), (0, 2), budget=3000) is None
-    with pytest.raises(ValueError):
-        hamilton_cycle_through_edge(complete_bipartite(2, 3), (0, 1))
 
 
 def test_strip_nonexpanding_checks_its_window():

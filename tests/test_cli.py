@@ -146,6 +146,33 @@ def test_pivot_audit_subcommand(capsys):
     assert 7 * len(cert["U"]) >= len(cert["X"])
 
 
+def test_budget_cut_pivot_audit_is_indeterminate(capsys):
+    # with the default budget all 98 pivots of K_100 are good; at budget 1
+    # every closure stops below the threshold, which decides none of them
+    code, out = run(capsys, "pivot-audit", "--family", "complete", "--n", "100")
+    assert code == EXIT_OK and len(json.loads(out)["good"]) == 98
+    code, out = run(
+        capsys, "pivot-audit", "--family", "complete", "--n", "100", "--budget", "1"
+    )
+    assert code == EXIT_INDETERMINATE
+    payload = json.loads(out)
+    assert payload["error"] == "work budget exceeded"
+    assert payload["detail"] == "the budget stopped 98 pivot closures below the threshold"
+    assert "certificate" not in payload
+
+
+def test_sampled_checks_follow_the_seed(tmp_path, capsys):
+    edges = tmp_path / "gnp40.txt"
+    assert main(["gen", "--family", "gnp", "--n", "40", "--p", "0.15",
+                 "--out", str(edges)]) == EXIT_OK
+    for flags in (["--joined", "--s", "8"], ["--expansion", "--s", "3"]):
+        argv = ["check", "--in", str(edges), *flags, "--mode", "sampled"]
+        unseeded = run(capsys, *argv)
+        outputs = {seed: run(capsys, *argv, "--seed", str(seed)) for seed in range(4)}
+        assert outputs[0] == unseeded
+        assert len({out for _, out in outputs.values()}) > 1
+
+
 def test_negative_counts_are_usage_errors(capsys):
     for argv, message in (
         (["sweep", "--n", "20", "--pmin", "0.3", "--pmax", "0.5", "--steps", "2",

@@ -327,13 +327,14 @@ def test_generate_dispatch():
 def test_edge_list_examples():
     g = load_edge_list("3 2\n0 1\n1 2")
     assert g.edges == path_graph(3).edges
-    with pytest.raises(GraphFormatError):
+    # a bad edge is named in Graph's words
+    with pytest.raises(GraphFormatError, match="^self-loop at vertex 0$"):
         load_edge_list("2 1\n0 0")
     with pytest.raises(GraphFormatError):
         load_edge_list("abc")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"^duplicate edge \(0, 1\)$"):
         load_edge_list("3 2\n0 1\n0 1")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"^vertex out of range in edge \(0, 5\)$"):
         load_edge_list("3 1\n0 5")
     with pytest.raises(GraphFormatError):
         load_edge_list("3 2\n0 1")

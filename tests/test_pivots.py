@@ -86,15 +86,19 @@ def _some_spanning_path(g):
 def test_classify_complete_graph_all_good():
     h = spanned_complete(10)
     audit = classify_pivots(h)
-    assert audit.bad == []
+    assert audit.bad == [] and audit.cut == []
     assert set(audit.good) == set(range(1, 9))
+    # at K_100's threshold 100/43, budget 1 stops every closure below it: each
+    # pivot is bad only because the budget ran out
+    audit = classify_pivots(spanned_complete(100), budget=1)
+    assert audit.good == [] and audit.cut == audit.bad == list(range(1, 99))
 
 
 def test_classify_chordless_path_all_bad():
     h = spanned_path(50)
     audit = classify_pivots(h)
     assert audit.good == []
-    assert len(audit.bad) == 48
+    assert len(audit.bad) == 48 and audit.cut == []  # each closure completed
     assert all(size == 1 for size in audit.sizes.values())
 
 
