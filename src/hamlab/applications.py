@@ -240,29 +240,25 @@ def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8
 
 
 def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broken_log):
-    rng = random.Random(f"protected:{seed}")
-    for kind in ("proof_faithful", "heuristic"):
-        if mode not in (kind, "auto"):
-            continue
-        local = new_stats()
-        if kind == "proof_faithful":
-            outcome = close_proof_faithful(
-                g_uv, spanning, protected_edge=protected, stats=local
-            )
-        else:
-            outcome = close_heuristic(
-                g_uv, spanning, budget=budget, rng=rng,
-                protected_edge=protected, stats=local,
-            )
-        _add_counts(stats, local)
-        broken_log.update(local.get("broken_edges", set()))
-        if isinstance(outcome, Cycle):
-            cyc = outcome.vertices
-            closed_edges = {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-            if protected not in closed_edges:
-                raise SoundnessError("protected edge missing from the closed cycle")
-            return outcome
-    return None
+    local = new_stats()
+    if mode == "proof_faithful":
+        outcome = close_proof_faithful(
+            g_uv, spanning, protected_edge=protected, stats=local
+        )
+    else:
+        outcome = close_heuristic(
+            g_uv, spanning, budget=budget, rng=random.Random(f"protected:{seed}"),
+            protected_edge=protected, stats=local,
+        )
+    _add_counts(stats, local)
+    broken_log.update(local.get("broken_edges", set()))
+    if not isinstance(outcome, Cycle):
+        return None
+    cyc = outcome.vertices
+    closed_edges = {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+    if protected not in closed_edges:
+        raise SoundnessError("protected edge missing from the closed cycle")
+    return outcome
 
 
 def _add_counts(stats, other):

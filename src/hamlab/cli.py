@@ -230,7 +230,9 @@ def cmd_check(args):
             report = check_f_connected(g, FConnSpec.preset(args.preset))
         elif args.conditions:
             d = args.d if args.d is not None else 12
-            report = check_conditions(g, d, variant=args.variant, mode=args.mode)
+            report = check_conditions(
+                g, d, variant=args.variant, mode=args.mode, seed=args.seed
+            )
         else:
             report = check_gnp_properties(g, mode=args.mode, seed=args.seed)
     except WorkBudgetExceeded as exc:

@@ -278,7 +278,7 @@ def check_joined(g, s, mode="exact", samples=2000, seed=0):
     return ConditionReport("joined", verdict, None, params, work, mode)
 
 
-def check_conditions(g, d, variant="P1P2", mode="exact"):
+def check_conditions(g, d, variant="P1P2", mode="exact", seed=0):
     """Evaluate both paper conditions at the variant's computed thresholds.
 
     A threshold outside [1, n] makes that sub-check vacuous at this scale; it
@@ -298,7 +298,7 @@ def check_conditions(g, d, variant="P1P2", mode="exact"):
     sub = {}
     witness = None
     if 1.0 <= th.s_small <= g.n:
-        rep = check_expansion(g, s_small, d, mode=mode)
+        rep = check_expansion(g, s_small, d, mode=mode, seed=seed)
         sub["expansion"] = rep.verdict
         work += rep.work
         if rep.fails:
@@ -307,7 +307,7 @@ def check_conditions(g, d, variant="P1P2", mode="exact"):
         sub["expansion"] = HOLDS
         params["vacuous"].append("expansion")
     if 1.0 <= th.s_big <= g.n:
-        rep = check_joined(g, s_big, mode=mode)
+        rep = check_joined(g, s_big, mode=mode, seed=seed)
         sub["joined"] = rep.verdict
         work += rep.work
         if rep.fails and witness is None:

@@ -173,6 +173,18 @@ def test_sampled_checks_follow_the_seed(tmp_path, capsys):
         assert len({out for _, out in outputs.values()}) > 1
 
 
+def test_sampled_conditions_follow_the_seed(tmp_path, capsys):
+    edges = tmp_path / "gnp40.txt"
+    assert main(["gen", "--family", "gnp", "--n", "40", "--p", "0.15",
+                 "--out", str(edges)]) == EXIT_OK
+    argv = ["check", "--in", str(edges), "--conditions", "--d", "2", "--mode", "sampled"]
+    unseeded = run(capsys, *argv)
+    outputs = {seed: run(capsys, *argv, "--seed", str(seed)) for seed in range(3)}
+    assert outputs[0] == unseeded
+    witnesses = {json.dumps(json.loads(out)["witness"]) for _, out in outputs.values()}
+    assert len(witnesses) > 1
+
+
 def test_negative_counts_are_usage_errors(capsys):
     for argv, message in (
         (["sweep", "--n", "20", "--pmin", "0.3", "--pmax", "0.5", "--steps", "2",

@@ -430,6 +430,31 @@ def test_find_hamilton_cycle_modes():
         assert validate_cycle(g, res.cycle.vertices, hamilton=True)
 
 
+def test_auto_is_the_heuristic():
+    # on the two gnp graphs the pipeline spends tens of thousands of
+    # rotations and misses, where the heuristic closes in about 60
+    n, budget = 400, 20000
+    graphs = [gnp(n, 2 * math.log(n) / n, seed=s) for s in (2, 5)] + [petersen()]
+    found = []
+    for g in graphs:
+        auto = find_hamilton_cycle(g, mode="auto", budget=budget, seed=1)
+        heur = find_hamilton_cycle(g, mode="heuristic", budget=budget, seed=1)
+        assert (auto.found, auto.stage, auto.stats) == (heur.found, heur.stage, heur.stats)
+        if auto.found:
+            assert auto.cycle.vertices == heur.cycle.vertices
+        assert auto.stats["families_built"] == 0
+        assert auto.stats["rotations"] <= budget
+        found.append(auto.found)
+    assert found == [True, True, False]
+    from hamlab import hamilton_path_between
+
+    g = graphs[0]
+    auto = hamilton_path_between(g, 3, 17, mode="auto", budget=budget, seed=4)
+    heur = hamilton_path_between(g, 3, 17, mode="heuristic", budget=budget, seed=4)
+    assert auto.found and auto.path.vertices == heur.path.vertices
+    assert auto.stats == heur.stats and auto.stats["families_built"] == 0
+
+
 def test_find_hamilton_negative_examples():
     res = find_hamilton_cycle(complete_bipartite(5, 6), budget=20000, seed=0)
     assert not res.found
