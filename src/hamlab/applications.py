@@ -11,7 +11,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .closing import (
+# `close_heuristic` and `close_proof_faithful` stay bound here, unread:
+# bench/tracing.py wraps each module's binding of them
+from .closing import (  # noqa: F401
     SearchResult,
     close_heuristic,
     close_proof_faithful,
@@ -25,6 +27,7 @@ from .conditions import (
 )
 from .graph import (
     Cycle,
+    Graph,
     Path,
     SoundnessError,
     adjacency_masks,
@@ -160,7 +163,7 @@ def hamilton_connected_oracle(g):
 
 
 # ---------------------------------------------------------------------------
-# Hamilton paths between prescribed endpoints (protected-edge closing)
+# Hamilton paths between prescribed endpoints (through a helper vertex)
 
 
 @dataclass
@@ -175,106 +178,51 @@ class PathSearchResult:
         return self.path is not None
 
 
-def _cycle_to_path_with_edge(cycle_seq, u, v):
-    """Hamilton path containing edge (u, v), built by the rewiring rule:
-    splice (u, v) in and drop the two cycle edges that follow u and v."""
-    n = len(cycle_seq)
-    pos = {w: i for i, w in enumerate(cycle_seq)}
-    i, j = pos[u], pos[v]
-    if (i + 1) % n == j or (j + 1) % n == i:
-        # already consecutive: rotate the cycle so u, v are the path's ends
-        return _strip_protected(cycle_seq, u, v)
-    if i > j:
-        i, j = j, i
-    # walk w_{i+1}..w_j, cross the new chord to w_i, walk back to w_{j+1}
-    first = cycle_seq[i + 1 : j + 1]
-    second = (
-        (cycle_seq[i],)
-        + tuple(reversed(cycle_seq[:i]))
-        + tuple(reversed(cycle_seq[j + 1 :]))
-    )
-    return first + second
-
-
 def hamilton_path_between(g, u, v, mode="auto", budget=100000, seed=0, retries=8):
-    """Hamilton path from u to v via the added-edge construction.
+    """Hamilton path from u to v through a degree-2 helper vertex.
 
-    Adds (u, v) when absent, finds a Hamilton cycle of the augmented graph,
-    reroutes it into a spanning path that contains (u, v), re-closes under a
-    never-break constraint on (u, v), and finally strips the helper edge.
-    The broken-edge log of the protected closing is exposed on the result.
+    H is G without the edge uv, plus a helper vertex x = g.n joined only to
+    u and v.  A Hamilton cycle of H passes u, x, v in a row, so cutting x out
+    of it leaves a Hamilton path of G from u to v, and every such path arises
+    this way.  Each of the `retries` attempts runs one `find_hamilton_cycle`
+    on H with `budget` and the seed (seed, attempt).  `broken_edges` holds
+    the edges of G that the searches broke; uv is not an edge of H, so it
+    is never among them.
     """
     check_vertices(g, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
+    if retries < 0:
+        raise ValueError("need retries >= 0")
     stats = new_stats()
-    g_uv = g.with_edge(u, v)
-    protected = edge_key(u, v)
     broken_log = set()
+    if g.n == 2 and g.has_edge(u, v):  # H is the path u-x-v, which has no cycle
+        return PathSearchResult(Path((u, v)), None, stats, broken_log)
+    x = g.n
+    uv = edge_key(u, v)
+    h = Graph(x + 1, [e for e in g.edges if e != uv] + [(u, x), (v, x)])
     for attempt in range(retries):
-        res = find_hamilton_cycle(g_uv, mode=mode, budget=budget, seed=(seed, attempt))
+        res = find_hamilton_cycle(h, mode=mode, budget=budget, seed=(seed, attempt))
         _add_counts(stats, res.stats)
+        broken_log.update(e for e in res.stats.get("broken_edges", ()) if x not in e)
         if not res.found:
             continue
         cycle_seq = res.cycle.vertices
-        spanning = _cycle_to_path_with_edge(cycle_seq, u, v)
-        verdict = validate_path(g_uv, spanning)
-        if not verdict:
-            raise SoundnessError(f"opened cycle is not a path: {verdict.reason}")
-        if {spanning[0], spanning[-1]} != {u, v}:
-            # (u, v) is interior: re-close around it, then open it again
-            if abs(spanning.index(u) - spanning.index(v)) != 1:
-                raise SoundnessError("protected edge must lie on the path")
-            closed = _close_protected(
-                g_uv, Path(spanning), protected, mode, budget, (seed, attempt),
-                stats, broken_log,
-            )
-            if closed is None:
-                continue
-            spanning = _strip_protected(closed.vertices, u, v)
+        i = cycle_seq.index(x)
+        spanning = cycle_seq[i + 1 :] + cycle_seq[:i]
+        if spanning[0] != u:
+            spanning = spanning[::-1]
         verdict = validate_path(g, spanning, endpoints=(u, v))
         if not verdict:
-            raise SoundnessError(verdict.reason)
+            raise SoundnessError(f"cycle of H cut at x is not a u-v path: {verdict.reason}")
         return PathSearchResult(Path(spanning), None, stats, broken_log)
     return PathSearchResult(None, "retries_exhausted", stats, broken_log)
-
-
-def _close_protected(g_uv, spanning, protected, mode, budget, seed, stats, broken_log):
-    local = new_stats()
-    if mode == "proof_faithful":
-        outcome = close_proof_faithful(
-            g_uv, spanning, protected_edge=protected, stats=local
-        )
-    else:
-        outcome = close_heuristic(
-            g_uv, spanning, budget=budget, rng=random.Random(f"protected:{seed}"),
-            protected_edge=protected, stats=local,
-        )
-    _add_counts(stats, local)
-    broken_log.update(local.get("broken_edges", set()))
-    if not isinstance(outcome, Cycle):
-        return None
-    cyc = outcome.vertices
-    closed_edges = {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-    if protected not in closed_edges:
-        raise SoundnessError("protected edge missing from the closed cycle")
-    return outcome
 
 
 def _add_counts(stats, other):
     """Add the search counters of `other` into `stats`."""
     for key in ("rotations", "restarts", "families_built"):
         stats[key] += other[key]
-
-
-def _strip_protected(cycle_seq, u, v):
-    n = len(cycle_seq)
-    pos = {w: i for i, w in enumerate(cycle_seq)}
-    i, j = pos[u], pos[v]
-    if not ((i + 1) % n == j or (j + 1) % n == i):
-        raise SoundnessError(f"{u} and {v} are not adjacent on the cycle")
-    k = i if (i + 1) % n == j else j
-    return tuple(cycle_seq[k + 1 :] + cycle_seq[: k + 1])
 
 
 # ---------------------------------------------------------------------------

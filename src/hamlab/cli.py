@@ -26,7 +26,7 @@ from .conditions import (
     check_joined,
     check_conditions,
 )
-from .closing import find_hamilton_cycle
+from .closing import MODES, find_hamilton_cycle
 from .applications import (
     cycle_of_length_k,
     fconnected_pipeline,
@@ -43,7 +43,6 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # a soundness check failed: a bug in hamlab, not in the input
 
 SCHEMA = 1
-SEARCH_MODES = ["proof_faithful", "heuristic", "auto"]
 
 
 class UsageError(Exception):
@@ -163,7 +162,7 @@ def build_parser():
 
     p = sub.add_parser("hamilton", help="search for a Hamilton cycle")
     _add_graph_source(p)
-    p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
+    p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--format", default="text", choices=["json", "text"])
 
@@ -171,7 +170,7 @@ def build_parser():
     _add_graph_source(p)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--mode", default="auto", choices=SEARCH_MODES)
+    p.add_argument("--mode", default="auto", choices=MODES)
     p.add_argument("--budget", type=int, default=100000)
 
     p = sub.add_parser("cycle-k", help="cycle of exact length k")
@@ -196,7 +195,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=60000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--mode", default="heuristic", choices=SEARCH_MODES)
+    p.add_argument("--mode", default="heuristic", choices=MODES)
     p.add_argument("--out", help="CSV path (aggregate JSON goes to stdout)")
 
     p = sub.add_parser("fconn-pipeline", help="f-connectivity check + search")

@@ -35,6 +35,9 @@ from .pivots import GOOD_RATIO, SpannedGraph, augment, classify_pivots
 # `rotate` stays bound here: bench/tracing.py wraps each module's binding of it
 from .rotation import PathBuf, closure, double_rotation_targets, extend, rotate  # noqa: F401
 
+# The search modes of `find_hamilton_cycle`, in the order the CLI lists them.
+MODES = ("proof_faithful", "heuristic", "auto")
+
 # The proof-faithful pipeline's fixed parameters.  rho, the number of segment
 # pairs, is the largest rotation count among the endpoint pairs.
 A_CAP = 12  # first-stage endpoints a that get a second-stage family
@@ -57,19 +60,12 @@ class SegmentDecomposition:
     seg_of: tuple  # base position -> index of the segment holding it
     starts: tuple  # base position where each segment starts, then len(base)
 
-    def segment_index_of(self, v):
-        i = self.base.pos.get(v)
-        if i is None:
-            raise KeyError(v)
-        return self.seg_of[i]
 
-
-def decompose(path, rho, protected_edge=None):
+def decompose(path, rho):
     """Split the path into 2*rho contiguous segments of near-equal size.
 
     Sizes differ by at most one (the first `len % 2rho` segments get the extra
-    vertex).  With a protected edge, the boundary that would separate its
-    endpoints is shifted by one so the edge lies inside a single segment.
+    vertex).
     """
     q = len(path)
     if rho < 1 or 2 * rho > q:
@@ -82,21 +78,6 @@ def decompose(path, rho, protected_edge=None):
         stop = start + size + (1 if i < extra else 0)
         bounds.append((start, stop))
         start = stop
-    if protected_edge is not None:
-        u, v = protected_edge
-        pu, pv = path.pos[u], path.pos[v]
-        lo = min(pu, pv)
-        for i, (a, b) in enumerate(bounds):
-            if b == lo + 1 and i + 1 < k:
-                # shift the boundary so both endpoints land in segment i+1
-                if b - a > 1:
-                    bounds[i] = (a, b - 1)
-                    bounds[i + 1] = (b - 1, bounds[i + 1][1])
-                else:
-                    bounds[i] = (a, b + 1)
-                    bounds[i + 1] = (b + 1, bounds[i + 1][1])
-                break
-    bounds = [(a, b) for a, b in bounds if b > a]
     segments = tuple(path.vertices[a:b] for a, b in bounds)
     seg_of = tuple(i for i, (a, b) in enumerate(bounds) for _ in range(a, b))
     starts = tuple(a for a, _ in bounds) + (q,)
@@ -134,23 +115,20 @@ def unbroken_segments(dec, runs):
     return tuple(coded)
 
 
-def select_sigma0(layouts, must_include=None):
+def select_sigma0(layouts):
     """Pick the ordered pair of unbroken segments that the coded layouts of
     the most (a, b) pairs contain.
 
     `layouts` maps each pair to its coded layout, as `unbroken_segments`
     returns it.  Returns ((seg, rev), (seg, rev)) and the set of pairs whose
     layout contains it, or (None, set()) when there is none.  Ties go to the
-    larger entries.  With `must_include`, only sequences using that segment
-    index are considered.  An entry (seg, rev) is coded as the integer
+    larger entries.  An entry (seg, rev) is coded as the integer
     2*seg + rev, whose order is the order of the tuples.  One `Counter`
     counts the ordered pairs of every layout, and only the winner's pair set
     is built: a segment appears at most once in a layout, so the layout holds
     the winner (c1, c2) exactly when c2 follows c1 in it.
     """
     seqs = itertools.chain.from_iterable(itertools.combinations(c, 2) for c in layouts.values())
-    if must_include is not None:
-        seqs = (e for e in seqs if must_include in (e[0] >> 1, e[1] >> 1))
     counts = collections.Counter(seqs)
     if not counts:
         return None, set()
@@ -181,21 +159,19 @@ class ContractedModel:
     frozen: bool = False  # no rotatable structure; endpoint set is the anchor
 
 
-def build_contracted(dec, half, g, side, protected_segment=None):
+def build_contracted(dec, half, g, side):
     """Build the model graph of a half of sigma0, the oriented segment
     `half` = (seg, rev) (side 1 starts at x, side 2 at y).
 
     The spine is the oriented segment, reversed on side 1 so that it starts
     at x; chords of G are added only between its interior vertices.  A
-    protected segment is contracted away except for its boundary vertex (x or
-    y), which stays as a lone, frozen model.
+    segment of fewer than 3 vertices has no interior and gives a frozen
+    model.
     """
     seg_idx, rev = half
     seg = dec.segments[seg_idx]
     run = seg[::-1] if rev else seg
     labels = tuple(run[::-1] if side == 1 else run)
-    if seg_idx == protected_segment:
-        labels = labels[:1]  # x or y stays
     l = len(labels)
     edges = {(i, i + 1) for i in range(l - 1)}
     interior = {v: i for i, v in enumerate(labels[1:-1], 1)}
@@ -260,9 +236,6 @@ class CloseFailure:
     detail: str = ""
     stats: dict = field(default_factory=dict)
 
-    def to_json(self):
-        return {"stage": self.stage, "detail": self.detail, "stats": _stats_json(self.stats)}
-
 
 def new_stats():
     """Fresh search counters shared by every closing route."""
@@ -277,30 +250,25 @@ def _stats_json(stats):
 # Proof-faithful closing
 
 
-def absorb(g, cycle_seq, protected_edge=None):
+def absorb(g, cycle_seq):
     """The site (idx, u) that reopens a non-spanning cycle into a longer path,
     cycle_seq[idx+1:] + cycle_seq[:idx+1] + (u,), or None when no vertex has
     an outside neighbour.
 
     idx is the first cycle position whose neighbour set is not a subset of
-    the cycle's vertices, skipping one whose cycle edge to the next vertex is
-    `protected_edge`, and u is its smallest outside neighbour.  Each position
-    costs one set test; only the site's outside neighbours are compared.
+    the cycle's vertices, and u is its smallest outside neighbour.  Each
+    position costs one set test; only the site's outside neighbours are
+    compared.
     """
     members = set(cycle_seq)
-    m = len(cycle_seq)
     for idx, v in enumerate(cycle_seq):
         nb = g.neighbors(v)
-        if nb <= members:
-            continue
-        succ = cycle_seq[(idx + 1) % m]
-        if protected_edge is not None and edge_key(v, succ) == protected_edge:
-            continue
-        return idx, min(nb - members)
+        if not nb <= members:
+            return idx, min(nb - members)
     return None
 
 
-def close_proof_faithful(g, p0, protected_edge=None, stats=None):
+def close_proof_faithful(g, p0, stats=None):
     """Run the segment/sigma0 pipeline until a Hamilton cycle closes.
 
     Returns a Cycle or a CloseFailure naming the first stage whose threshold
@@ -315,7 +283,7 @@ def close_proof_faithful(g, p0, protected_edge=None, stats=None):
         return CloseFailure("connectivity", stats=stats)
     path = extend(g, p0)
     while True:
-        result = _pipeline_once(g, path, protected_edge, stats)
+        result = _pipeline_once(g, path, stats)
         if isinstance(result, CloseFailure):
             return result
         cycle_seq = result
@@ -324,28 +292,21 @@ def close_proof_faithful(g, p0, protected_edge=None, stats=None):
             raise SoundnessError(f"pipeline produced an invalid cycle: {verdict.reason}")
         if len(cycle_seq) == g.n:
             return Cycle(cycle_seq)
-        site = absorb(g, cycle_seq, protected_edge)
+        site = absorb(g, cycle_seq)
         if site is None:
             return CloseFailure("absorption", "no outside neighbor", stats)
         idx, u = site
         path = extend(g, Path(cycle_seq[idx + 1 :] + cycle_seq[: idx + 1] + (u,)))
 
 
-def _pipeline_once(g, path, protected_edge, stats):
-    targets = double_rotation_targets(
-        g, path, a_cap=A_CAP, protected_edge=protected_edge, stats=stats
-    )
+def _pipeline_once(g, path, stats):
+    targets = double_rotation_targets(g, path, a_cap=A_CAP, stats=stats)
     stats["families_built"] += targets.families_built
     if not targets.pair_runs:
         return CloseFailure("endpoint_families", "no endpoint pairs", stats)
     # rho >= 1: the path is maximal in a connected graph on n >= 3 vertices
     rho = min(max(1, max(targets.pair_rotations.values())), len(path) // 2)
-    dec = decompose(path, rho, protected_edge=protected_edge)
-    protected_segment = None
-    if protected_edge is not None:
-        protected_segment = dec.segment_index_of(protected_edge[0])
-        if dec.segment_index_of(protected_edge[1]) != protected_segment:
-            return CloseFailure("segments", "protected edge split", stats)
+    dec = decompose(path, rho)
     layouts = {}  # pair -> coded layout
     for pair in targets.pairs():
         if targets.pair_rotations[pair] > rho:
@@ -355,11 +316,11 @@ def _pipeline_once(g, path, protected_edge, stats):
             layouts[pair] = coded
     if not layouts:
         return CloseFailure("tau_sequences", "no record with tau unbroken segments", stats)
-    sigma0, pairs = select_sigma0(layouts, must_include=protected_segment)
+    sigma0, pairs = select_sigma0(layouts)
     if sigma0 is None:
         return CloseFailure("sigma0", "no tau-sequence shared by any pair", stats)
-    model1 = build_contracted(dec, sigma0[0], g, 1, protected_segment)
-    model2 = build_contracted(dec, sigma0[1], g, 2, protected_segment)
+    model1 = build_contracted(dec, sigma0[0], g, 1)
+    model2 = build_contracted(dec, sigma0[1], g, 2)
     x, y = model1.labels[0], model2.labels[0]
 
     # rank cutoff replacing the alpha*n/2 membership threshold
@@ -399,8 +360,8 @@ def _candidate_pivots(model):
     """Good model pivots (interior spine positions), or None when a
     rotatable side has none.
 
-    A frozen side (a protected segment, or one too short to rotate) has no
-    pivots but is still usable: its endpoint set degenerates to the anchor.
+    A frozen side, one too short to rotate, has no pivots but is still
+    usable: its endpoint set degenerates to the anchor.
     """
     if model.frozen:
         return []
@@ -467,7 +428,7 @@ def _side_real_path(model, model_seq, z_real, phat, boundary):
 # Heuristic closing
 
 
-def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats=None):
+def close_heuristic(g, path, budget=100000, rng=None, stats=None):
     """Randomized rotation loop: extend, close when the endpoints are adjacent,
     absorb when the closed cycle does not span, otherwise rotate (round-robin
     over the two ends, preferring rotations that enable a closing edge).
@@ -497,7 +458,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
                 raise SoundnessError(verdict.reason)
             if len(cycle_seq) == g.n:
                 return Cycle(cycle_seq)
-            site = absorb(g, cycle_seq, protected_edge)
+            site = absorb(g, cycle_seq)
             if site is None:
                 return CloseFailure("absorption", "component exhausted", stats)
             buf.reopen(*site)
@@ -507,7 +468,7 @@ def close_heuristic(g, path, budget=100000, rng=None, protected_edge=None, stats
             return CloseFailure("budget", f"{spent} rotations", stats)
         moved = False
         for _ in range(2):
-            candidates, closing = buf.candidates(g, protected_edge)
+            candidates, closing = buf.candidates(g)
             if candidates:
                 pool = closing if closing else candidates
                 broken, _ = buf.rotate(rng.choice(pool))
@@ -564,7 +525,7 @@ def find_hamilton_cycle(
     """
     if budget < 0:
         raise ValueError(f"rotation budget must be non-negative, got {budget}")
-    if mode not in ("auto", "heuristic", "proof_faithful"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     stats = new_stats()
     if g.n < 3:

@@ -295,11 +295,11 @@ class PathBuf:
         self._write(seg, a)
         self._push(u, not self.flip)
 
-    def candidates(self, g, protected_edge=None):
+    def candidates(self, g):
         """The rotations open at the mobile end: the logical positions i of
-        its neighbours with i <= q-3, in `g.neighbors` order, skipping one
-        whose rotation would break `protected_edge`, and the subset of them
-        whose rotation makes an endpoint adjacent to the first vertex."""
+        its neighbours with i <= q-3, in `g.neighbors` order, and the subset
+        of them whose rotation makes an endpoint adjacent to the first
+        vertex."""
         arr, pos, lo, hi = self.arr, self.pos, self.lo, self.hi
         if self.flip:  # logical i sits in slot hi-1-i, its successor one below
             first, last = arr[hi - 1], arr[lo]
@@ -313,12 +313,9 @@ class PathBuf:
             k = pos[u]
             if not kmin <= k <= kmax:  # off the path (-1) or too near the end
                 continue
-            succ = arr[k + step]
-            if protected_edge is not None and edge_key(u, succ) == protected_edge:
-                continue
             i = sign * (k - base)
             out.append(i)
-            if succ in near_first:
+            if arr[k + step] in near_first:
                 closing.append(i)
         return out, closing
 
@@ -421,7 +418,6 @@ def endpoint_family(
     d=9.0,
     total_target=None,
     surplus=2.0,
-    protected_edge=None,
     stats=None,
     over=None,
 ):
@@ -430,10 +426,9 @@ def endpoint_family(
     Layer t is grown from every member of the previous layer and targets
     ceil((d/3)^t) endpoints; up to `surplus` times the target is retained
     (None keeps everything).  Pivots are processed in ascending base-path
-    position; an endpoint already used, already placed or fixed is skipped,
-    and so is a rotation that would break `protected_edge`.  Each layer is
-    sorted by endpoint and trimmed to its keep size, so trimming keeps the
-    lowest vertex ids.  The construction stops when the family holds
+    position; an endpoint already used, already placed or fixed is skipped.
+    Each layer is sorted by endpoint and trimmed to its keep size, so trimming
+    keeps the lowest vertex ids.  The construction stops when the family holds
     `total_target` endpoints (default ceil(n/3)) or a layer comes up empty.
     A candidate pivot is a neighbor of its source, the last vertex of the
     source's path, so every rotation is valid, and its new endpoint, the
@@ -471,12 +466,9 @@ def endpoint_family(
             if idx > q - 3:
                 continue
             ep = seq[nxt]
-            broken = edge_key(pivot, ep)
-            if broken == protected_edge:
-                continue
             if ep in used or ep in placed or ep == fixed:
                 continue
-            placed[ep] = (src, idx, pivot, broken)
+            placed[ep] = (src, idx, pivot, edge_key(pivot, ep))
         if not placed:
             fam.stopped = "empty_layer"
             break
@@ -603,7 +595,6 @@ def double_rotation_targets(
     a_cap=None,
     total_target=None,
     surplus=2.0,
-    protected_edge=None,
     stats=None,
 ):
     """Rotate both path ends in two stages: one family with the first vertex
@@ -619,7 +610,6 @@ def double_rotation_targets(
             d=d,
             total_target=total_target,
             surplus=surplus,
-            protected_edge=protected_edge,
             stats=stats,
             over=over,
         )

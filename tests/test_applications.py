@@ -11,7 +11,6 @@ import hamlab.graph
 from hamlab import (
     FConnSpec,
     Graph,
-    Path,
     clique_plus_isolated,
     complete,
     complete_bipartite,
@@ -279,46 +278,41 @@ def test_hamilton_path_between_protects_the_edge():
     assert exercised >= 10
 
 
-def test_protected_proof_faithful_closing():
-    # the segment pipeline honors the never-break constraint end to end:
-    # the protected edge survives into the cycle and never enters the log
-    from hamlab.closing import CloseFailure, close_proof_faithful
-    from hamlab.applications import _cycle_to_path_with_edge
-
-    def consecutive(cyc, u, v):
-        n = len(cyc)
-        pos = {w: i for i, w in enumerate(cyc)}
-        i, j = pos[u], pos[v]
-        return (i + 1) % n == j or (j + 1) % n == i
-
-    rng_master = random.Random("prot")
-    wins = attempts = 0
+@pytest.mark.parametrize("mode", ["heuristic", "proof_faithful"])
+def test_path_search_matches_the_oracle(mode):
+    # a path for every oracle-positive pair and for no negative one
+    rng = random.Random("path-recall")
+    positives = negatives = 0
     for i in range(40):
-        rng = random.Random(i)
         n = rng.randint(10, 14)
-        g = gnp(n, rng.uniform(0.5, 0.8), seed=f"prot:{i}")
-        res = find_hamilton_cycle(g, seed=i)
-        if not res.found:
-            continue
+        g = gnp(n, rng.uniform(0.2, 0.6), seed=f"path-recall:{i}")
         u, v = rng.sample(range(n), 2)
-        if consecutive(res.cycle.vertices, u, v):
-            continue
-        g_uv = g.with_edge(u, v)
-        spanning = _cycle_to_path_with_edge(res.cycle.vertices, u, v)
-        stats = {"rotations": 0, "restarts": 0, "families_built": 0}
-        attempts += 1
-        out = close_proof_faithful(
-            g_uv, Path(spanning), protected_edge=edge_key(u, v), stats=stats
-        )
-        if isinstance(out, CloseFailure):
-            continue
-        cyc = out.vertices
-        ring = {edge_key(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-        assert edge_key(u, v) in ring
-        assert edge_key(u, v) not in stats.get("broken_edges", set())
-        assert validate_cycle(g_uv, cyc, hamilton=True)
-        wins += 1
-    assert attempts >= 20 and wins >= attempts * 2 // 3
+        truth, _ = hamilton_path_oracle(g, u, v)
+        res = hamilton_path_between(g, u, v, mode=mode, budget=4000, seed=i, retries=2)
+        assert res.found == truth, (i, u, v, res.stage)
+        if truth:
+            assert validate_path(g, res.path.vertices, endpoints=(u, v))
+            assert (res.path.first, res.path.last) == (u, v)
+            assert edge_key(u, v) not in res.broken_edges
+            assert all(g.has_edge(a, b) for a, b in res.broken_edges)
+        positives += truth
+        negatives += not truth
+    assert positives >= 15 and negatives >= 5
+
+
+def test_hamilton_path_between_on_two_vertices():
+    # H is the path u-x-v, which has no cycle: the edge itself is the path
+    res = hamilton_path_between(complete(2), 1, 0)
+    assert res.found and res.path.vertices == (1, 0)
+    assert res.stats == {"rotations": 0, "restarts": 0, "families_built": 0}
+    res = hamilton_path_between(Graph(2), 0, 1)
+    assert not res.found and res.stage == "retries_exhausted"
+
+
+def test_hamilton_path_between_rejects_negative_retries():
+    with pytest.raises(ValueError, match="need retries >= 0"):
+        hamilton_path_between(complete(5), 0, 1, retries=-1)
+    assert hamilton_path_between(complete(5), 0, 1, retries=0).stage == "retries_exhausted"
 
 
 def test_protected_searches_check_their_endpoints():

@@ -9,11 +9,13 @@ record stage that rebuilt every record from the whole pair path and counted
 every tau-sequence of every record, and the coded-layout digest by coding
 the records of the stage that still built one record per pair; the one-segment model values were
 recorded from the model builder that still linked the runs of multi-segment
-halves by contracted connectors; the `capped`, `keep_all` and `guarded` family
-values were recorded from the family builder that still took a layer cap, a
-layer limit and a set of excluded endpoints.  Any refactor of the engine must
-reproduce them exactly.  Large structures (chains, witness paths, records)
-are pinned by a digest of their canonical JSON.
+halves by contracted connectors; the `capped` and `keep_all` family values
+were recorded from the family builder that still took a layer cap, a layer
+limit and a set of excluded endpoints; the path-search values were recorded
+from the search for a Hamilton cycle through a degree-2 helper vertex.  Any
+refactor of the engine must reproduce them exactly.  Large structures
+(chains, witness paths, records) are pinned by a digest of their canonical
+JSON.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ from hamlab import (
     random_regular,
     reconstruct_path,
 )
-from hamlab import applications, closing
+from hamlab import closing
 from hamlab.closing import build_contracted, decompose, model_endpoint_paths
 from hamlab.pivots import PivotAudit
 
@@ -82,20 +84,18 @@ def _family_graph():
     return g, extend(g, Path((0,)))
 
 
-def _family_cases(g, p):
-    mid = len(p) // 2
+def _family_cases(g):
     return {
         "default": {},
         "capped": {"d": 6.0, "surplus": 1.0, "total_target": g.n},
         "keep_all": {"d": 4.0, "surplus": None, "total_target": g.n},
-        "guarded": {"protected_edge": edge_key(p[mid], p[mid + 1]), "total_target": g.n},
     }
 
 
 def observe_endpoint_family():
     g, p = _family_graph()
     out = {}
-    for name, kwargs in _family_cases(g, p).items():
+    for name, kwargs in _family_cases(g).items():
         stats = {"rotations": 0}
         fam = endpoint_family(g, p, stats=stats, **kwargs)
         view = _family_view(fam, stats)
@@ -121,15 +121,6 @@ EXPECTED_ENDPOINT_FAMILY = {'capped': {'broken': '0eb6cb70c1e75a90',
              'rotations': 26,
              'stats_broken': 'e2d055ae8fb01608',
              'stopped': 'target_met'},
- 'guarded': {'broken': '4004954487df9116',
-             'chains': 'dfaee591346616e4',
-             'layers': [[33], [5, 10, 13, 16, 17, 18],
-                        [0, 1, 4, 6, 7, 9, 15, 19, 20, 22, 23, 26, 27, 28, 29, 30, 34,
-                         38]],
-             'paths': 'e35fe49d0665be18',
-             'rotations': 25,
-             'stats_broken': '4004954487df9116',
-             'stopped': 'empty_layer'},
  'keep_all': {'broken': 'a6eed6a5dd2162d5',
               'chains': '23ead054c410cdc8',
               'layers': [[33], [5, 10, 13, 16, 17, 18, 27],
@@ -315,7 +306,7 @@ def test_process_bad_vertices_pins():
 def observe_model_endpoint_paths():
     """One-segment halves, as the pipeline builds them from sigma0: the
     model's shape and, from three pivots under two budgets, its endpoint
-    set, witness paths and broken-edge log; and a frozen protected model."""
+    set, witness paths and broken-edge log."""
     g = gnp(40, 0.3, seed="pins:model")
     p = extend(g, Path((0,)))
     dec = decompose(p, 2)
@@ -337,8 +328,6 @@ def observe_model_endpoint_paths():
                     "witnesses": _digest({str(k): list(v) for k, v in sorted(paths.items())}),
                     "log": _digest(sorted(log)),
                 }
-    model = build_contracted(dec, (0, False), g, 1, protected_segment=0)
-    out["protected"] = {"labels": list(model.labels), "frozen": model.frozen}
     return out
 
 
@@ -361,8 +350,7 @@ EXPECTED_MODEL_ENDPOINT_PATHS = {'1/1/3': {'endpoints': [2, 6], 'log': 'b7edaca7
  '2/6/4000': {'endpoints': [3, 7], 'log': '32df5bcef9fe387f', 'witnesses': 'c097cc2d24bbcfea'},
  '2/model': {'edges': '52b6de602784657c',
              'frozen': False,
-             'labels': [34, 38, 33, 30, 32, 28, 31, 29, 27]},
- 'protected': {'frozen': True, 'labels': [5]}}
+             'labels': [34, 38, 33, 30, 32, 28, 31, 29, 27]}}
 
 
 def test_model_endpoint_paths_pins():
@@ -412,7 +400,7 @@ def test_proof_faithful_search_pins():
 
 
 # ---------------------------------------------------------------------------
-# find_hamilton_cycle, heuristic mode, and the protected-edge heuristic closing
+# find_hamilton_cycle and hamilton_path_between, heuristic mode
 
 
 def _record_calls(monkeypatch, module, name):
@@ -487,35 +475,27 @@ def test_heuristic_search_pins(monkeypatch):
     assert observe_heuristic_search(monkeypatch) == EXPECTED_HEURISTIC_SEARCH
 
 
-def observe_protected_heuristic(monkeypatch):
-    closings = _record_calls(monkeypatch, applications, "close_heuristic")
+def observe_path_search():
     g = random_regular(120, 3, seed="pins:heuristic:between:1")
     res = hamilton_path_between(g, 0, 60, mode="heuristic", seed=1)
-    protected = [
-        (kwargs["stats"]["rotations"], type(outcome).__name__)
-        for kwargs, outcome in closings
-        if kwargs.get("protected_edge") is not None
-    ]
     return {
         "path": _digest(list(res.path.vertices)) if res.found else None,
         "stage": res.stage,
         "rotations": res.stats["rotations"],
         "restarts": res.stats["restarts"],
         "broken_edges": _digest(sorted(res.broken_edges)),
-        "protected_closings": protected,
     }
 
 
-EXPECTED_PROTECTED_HEURISTIC = {'broken_edges': '66e7cae3d182f141',
- 'path': '046510152245b48a',
- 'protected_closings': [(321, 'Cycle')],
+EXPECTED_PATH_SEARCH = {'broken_edges': '9e8c6bc29c503b69',
+ 'path': '542e907f79232450',
  'restarts': 0,
- 'rotations': 688,
+ 'rotations': 204,
  'stage': None}
 
 
-def test_protected_heuristic_pins(monkeypatch):
-    assert observe_protected_heuristic(monkeypatch) == EXPECTED_PROTECTED_HEURISTIC
+def test_path_search_pins():
+    assert observe_path_search() == EXPECTED_PATH_SEARCH
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +510,8 @@ def _sigma0_view(sigma0, pairs):
 def observe_pipeline_records(monkeypatch):
     """Run `close_proof_faithful` with the record stage logged: every coded
     layout `unbroken_segments` returns, with the pair whose runs it read and
-    that pair's rotation count, and for every `select_sigma0` call the choice
-    with `must_include` unset and with the protected segment (or segment 0)."""
+    that pair's rotation count, and for every `select_sigma0` call its
+    choice."""
     targets_log = _record_calls(monkeypatch, closing, "double_rotation_targets")
     real_unbroken = closing.unbroken_segments
     real_select = closing.select_sigma0
@@ -545,36 +525,26 @@ def observe_pipeline_records(monkeypatch):
         records.append((pair, targets.pair_rotations[pair], layout))
         return layout
 
-    def select(layouts, must_include=None):
-        rounds.append((dict(layouts), must_include))
-        return real_select(layouts, must_include=must_include)
+    def select(layouts):
+        rounds.append(dict(layouts))
+        return real_select(layouts)
 
     monkeypatch.setattr(closing, "unbroken_segments", unbroken)
     monkeypatch.setattr(closing, "select_sigma0", select)
     out = {}
-    for name, n, c, seed, protect in (
-        ("gnp40", 40, 3.0, 1, False),
-        ("gnp60", 60, 5.0, 2, False),
-        ("gnp50_sparse", 50, 2.0, 3, False),
-        ("gnp50_protected", 50, 4.0, 4, True),
+    for name, n, c, seed in (
+        ("gnp40", 40, 3.0, 1),
+        ("gnp60", 60, 5.0, 2),
+        ("gnp50_sparse", 50, 2.0, 3),
     ):
         g = gnp(n, c * math.log(n) / n, seed=f"pins:records:{seed}")
         p = extend(g, Path((0,)))
-        mid = len(p) // 2
-        protected = edge_key(p[mid], p[mid + 1]) if protect else None
         records.clear()
         rounds.clear()
-        res = closing.close_proof_faithful(g, p, protected_edge=protected)
-        choices = []
-        for layouts, must in rounds:
-            choices.append({
-                "records": len(layouts),
-                "unset": _sigma0_view(*real_select(layouts)),
-                "protected_segment": must,
-                "must_include": _sigma0_view(
-                    *real_select(layouts, must_include=0 if must is None else must)
-                ),
-            })
+        res = closing.close_proof_faithful(g, p)
+        choices = [
+            {"records": len(layouts), **_sigma0_view(*real_select(layouts))} for layouts in rounds
+        ]
         out[name] = {
             "outcome": type(res).__name__,
             "records": len(records),
@@ -589,66 +559,29 @@ EXPECTED_PIPELINE_RECORDS = {'gnp40': {'outcome': 'Cycle',
            'record_digest': '7ff8ded322e0058a',
            'records': 830,
            'rotations': [1, 2, 3, 4],
-           'sigma0': [{'must_include': {'pairs': '01737988ebfb81ae',
-                                        'sigma0': [[1, True], [0, True]]},
-                       'protected_segment': None,
+           'sigma0': [{'pairs': '01737988ebfb81ae',
                        'records': 286,
-                       'unset': {'pairs': '01737988ebfb81ae',
-                                 'sigma0': [[1, True], [0, True]]}},
-                      {'must_include': {'pairs': '6c81a654dd092d2f',
-                                        'sigma0': [[0, False], [1, False]]},
-                       'protected_segment': None,
+                       'sigma0': [[1, True], [0, True]]},
+                      {'pairs': '6c81a654dd092d2f',
                        'records': 276,
-                       'unset': {'pairs': '6c81a654dd092d2f',
-                                 'sigma0': [[0, False], [1, False]]}},
-                      {'must_include': {'pairs': 'f58c63f96029137b',
-                                        'sigma0': [[0, False], [1, False]]},
-                       'protected_segment': None,
+                       'sigma0': [[0, False], [1, False]]},
+                      {'pairs': '1f9152d0633b09dc',
                        'records': 268,
-                       'unset': {'pairs': '1f9152d0633b09dc',
-                                 'sigma0': [[4, True], [3, True]]}}]},
- 'gnp50_protected': {'outcome': 'Cycle',
-                     'record_digest': '86d773d75e1dd4c3',
-                     'records': 900,
-                     'rotations': [1, 2, 3, 4],
-                     'sigma0': [{'must_include': {'pairs': '5d7473dd6c26b630',
-                                                  'sigma0': [[3, False], [4, False]]},
-                                 'protected_segment': 4,
-                                 'records': 300,
-                                 'unset': {'pairs': '62760a8f3925d68d',
-                                           'sigma0': [[7, True], [6, True]]}},
-                                {'must_include': {'pairs': 'a108e796431a1f3e',
-                                                  'sigma0': [[0, False], [1, False]]},
-                                 'protected_segment': 0,
-                                 'records': 300,
-                                 'unset': {'pairs': 'd0ac259e936d4348',
-                                           'sigma0': [[3, True], [2, True]]}},
-                                {'must_include': {'pairs': 'a79ae0aeea8c2ad2',
-                                                  'sigma0': [[4, False], [0, True]]},
-                                 'protected_segment': 0,
-                                 'records': 300,
-                                 'unset': {'pairs': '9257abb70e84ed30',
-                                           'sigma0': [[4, False], [5, False]]}}]},
+                       'sigma0': [[4, True], [3, True]]}]},
  'gnp50_sparse': {'outcome': 'CloseFailure',
                   'record_digest': 'a779bf3c47b3764d',
                   'records': 255,
                   'rotations': [1, 2, 3, 4, 5],
-                  'sigma0': [{'must_include': {'pairs': '5b6ce0216dd1a095',
-                                               'sigma0': [[0, False], [1, False]]},
-                              'protected_segment': None,
+                  'sigma0': [{'pairs': 'f7e0f5be5d7bc619',
                               'records': 255,
-                              'unset': {'pairs': 'f7e0f5be5d7bc619',
-                                        'sigma0': [[8, False], [9, False]]}}]},
+                              'sigma0': [[8, False], [9, False]]}]},
  'gnp60': {'outcome': 'Cycle',
            'record_digest': 'e3c897af0c4311b0',
            'records': 300,
            'rotations': [1, 2, 3, 4],
-           'sigma0': [{'must_include': {'pairs': 'f74c094f09f4e7ad',
-                                        'sigma0': [[0, False], [7, True]]},
-                       'protected_segment': None,
+           'sigma0': [{'pairs': '40a767511248a456',
                        'records': 300,
-                       'unset': {'pairs': '40a767511248a456',
-                                 'sigma0': [[7, True], [6, True]]}}]}}
+                       'sigma0': [[7, True], [6, True]]}]}}
 
 
 def test_pipeline_record_pins(monkeypatch):

@@ -63,7 +63,7 @@ OPS = st.lists(
 )
 
 
-def reference_candidates(g, ref, protected_edge=None):
+def reference_candidates(g, ref):
     """The candidate scan `close_heuristic` ran before `PathBuf.candidates`,
     over the frozen path."""
     q = len(ref)
@@ -72,11 +72,8 @@ def reference_candidates(g, ref, protected_edge=None):
         i = ref.pos.get(u)
         if i is None or i > q - 3:
             continue
-        succ = ref[i + 1]
-        if protected_edge is not None and edge_key(u, succ) == protected_edge:
-            continue
         candidates.append(i)
-        if g.has_edge(ref.first, succ):
+        if g.has_edge(ref.first, ref[i + 1]):
             closing.append(i)
     return candidates, closing
 
@@ -274,10 +271,7 @@ def follow(g, start, ops):
             buf.load(ref.vertices)
         assert_same(buf, ref)
         assert len(buf.arr) == 4 * g.n
-        # unprotected, and protecting a path edge picked by arg
-        j = arg % max(len(ref) - 1, 1)
-        for edge in (None, edge_key(ref[j], ref[min(j + 1, len(ref) - 1)])):
-            assert buf.candidates(g, edge) == reference_candidates(g, ref, edge)
+        assert buf.candidates(g) == reference_candidates(g, ref)
     return seen
 
 

@@ -74,15 +74,13 @@ def coded(found):
     return tuple(2 * seg + rev for seg, rev, _ in found)
 
 
-def reference_select_sigma0(layouts, must_include=None):
+def reference_select_sigma0(layouts):
     """The sigma0 choice that enumerated the ordered segment pairs of every
     layout."""
     counts = {}
     for pair, layout in layouts.items():
         oriented = [(c >> 1, bool(c & 1)) for c in layout]
         for entries in itertools.combinations(oriented, 2):
-            if must_include is not None and must_include not in [s for s, _ in entries]:
-                continue
             counts.setdefault(entries, set()).add(pair)
     if not counts:
         return None, set()
@@ -102,17 +100,12 @@ def connected_graphs(draw):
 
 @st.composite
 def base_paths(draw):
-    """A graph, a path of at least two vertices in it, rho and maybe a
-    protected edge of the path."""
+    """A graph, a path of at least two vertices in it and rho."""
     g = draw(connected_graphs())
     start = draw(st.integers(0, g.n - 1))
     p = extend(g, Path((start,)), random.Random(draw(st.integers(0, 2**16))))
     rho = draw(st.integers(1, len(p) // 2))
-    protected = None
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(p) - 2))
-        protected = edge_key(p[i], p[i + 1])
-    return g, p, rho, protected
+    return g, p, rho
 
 
 def check_maximal(runs):
@@ -131,9 +124,8 @@ def check_runs(p, runs, cur):
     check_maximal(runs)
 
 
-def rotation_chain(g, p, protected, moves):
-    """Rotate `p` by `moves`, never breaking the protected edge, and track its
-    runs alongside.  A move either rotates at a drawn pivot, rotates at a
+def rotation_chain(g, p, moves):
+    """Rotate `p` by `moves` and track its runs alongside.  A move either rotates at a drawn pivot, rotates at a
     pivot whose new edge is one an earlier step broke (when there is one), or
     swaps the fixed end, as the second stage of the double rotation does.
     Returns the path, its runs and the steps."""
@@ -146,12 +138,7 @@ def rotation_chain(g, p, protected, moves):
             runs = rotated_runs(runs, -1)
             check_runs(p, runs, cur)
             continue
-        pivots = [
-            i
-            for i in range(len(cur) - 2)
-            if g.has_edge(cur.last, cur[i])
-            and edge_key(cur[i], cur[i + 1]) != protected
-        ]
+        pivots = [i for i in range(len(cur) - 2) if g.has_edge(cur.last, cur[i])]
         if kind == "readd":
             broken = {s.broken_edge for s in steps}
             pivots = [i for i in pivots if edge_key(cur.last, cur[i]) in broken] or pivots
@@ -172,34 +159,28 @@ MOVES = st.lists(
 
 
 @PROPERTY
-@given(base_paths(), st.lists(MOVES, min_size=1, max_size=6), st.data())
-def test_chain_records_equal_the_whole_path_records(case, chains, data):
-    g, p, rho, protected = case
-    dec = decompose(p, rho, protected_edge=protected)
+@given(base_paths(), st.lists(MOVES, min_size=1, max_size=6))
+def test_chain_records_equal_the_whole_path_records(case, chains):
+    g, p, rho = case
+    dec = decompose(p, rho)
     layouts = {}
     for k, moves in enumerate(chains):
-        cur, runs, steps = rotation_chain(g, p, protected, moves)
+        cur, runs, steps = rotation_chain(g, p, moves)
         pair = (cur.first, cur.last) if k % 2 else (k, cur.last)
         broken, found = reference_unbroken_segments(dec, cur)
         assert unbroken_segments(dec, runs) == coded(found)
         # a run boundary breaks exactly one base edge, and a rotation makes at most one
         assert len(broken) == len(runs) - 1 <= len(steps)
         layouts[pair] = coded(found)
-
-    segment = data.draw(st.integers(0, len(dec.segments) - 1))
-    protected_segment = dec.segment_index_of(protected[0]) if protected else None
-    for must in (None, segment, protected_segment):
-        assert select_sigma0(layouts, must) == reference_select_sigma0(layouts, must)
+    assert select_sigma0(layouts) == reference_select_sigma0(layouts)
 
 
 @PROPERTY
 @given(base_paths(), st.integers(1, 16))
 def test_pair_chains_give_the_whole_path_records(case, total_target):
-    g, p, rho, protected = case
-    targets = double_rotation_targets(
-        g, p, a_cap=4, total_target=total_target, protected_edge=protected
-    )
-    dec = decompose(p, rho, protected_edge=protected)
+    g, p, rho = case
+    targets = double_rotation_targets(g, p, a_cap=4, total_target=total_target)
+    dec = decompose(p, rho)
     for pair in targets.pairs():
         ppath = targets.pair_path(pair)
         assert (ppath.first, ppath.last) == pair
@@ -207,7 +188,7 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
         broken, found = reference_unbroken_segments(dec, ppath)
         assert unbroken_segments(dec, runs) == coded(found)
         assert len(broken) == len(runs) - 1 <= targets.pair_rotations[pair]
-    fam = endpoint_family(g, p, total_target=total_target, protected_edge=protected)
+    fam = endpoint_family(g, p, total_target=total_target)
     for v in fam.chains:
         assert reconstruct_path(fam, v) == replay(g, p, fam.chains[v])
 
@@ -249,30 +230,28 @@ def refold(base, runs, step):
 @PROPERTY
 @given(base_paths(), st.integers(1, 16))
 def test_families_hand_over_the_runs_of_their_chains(case, total_target):
-    g, p, _, drawn = case
+    g, p, _ = case
     whole = ((0, len(p) - 1),)
-    for protected in (None, drawn) if drawn else (None,):
-        kw = dict(total_target=total_target, protected_edge=protected)
-        fam = endpoint_family(g, p, **kw)
-        assert fam.runs.keys() == fam.chains.keys()
-        for v, step in fam.chains.items():
-            assert fam.runs[v] == refold(p, whole, step)
-            check_maximal(fam.runs[v])
-        targets = double_rotation_targets(g, p, a_cap=4, **kw)
-        pairs = targets.pairs()
-        assert sorted({a for a, _ in pairs}) == sorted(fam.chains)[:4]
-        for a in sorted(fam.chains)[:4]:
-            runs_a = rotated_runs(refold(p, whole, fam.chains[a]), -1)
-            p_a = runs_path(p, runs_a)
-            fam2 = endpoint_family(g, p_a, **kw)
-            assert [b for a2, b in pairs if a2 == a] == sorted(fam2.chains)
-            for b, step in fam2.chains.items():
-                runs = targets.pair_runs[(a, b)]
-                assert runs == refold(p, runs_a, step)
-                check_maximal(runs)
-                ppath = targets.pair_path((a, b))
-                assert (ppath.first, ppath.last) == (a, b)
-                assert ppath == replay(g, p_a, step)
+    fam = endpoint_family(g, p, total_target=total_target)
+    assert fam.runs.keys() == fam.chains.keys()
+    for v, step in fam.chains.items():
+        assert fam.runs[v] == refold(p, whole, step)
+        check_maximal(fam.runs[v])
+    targets = double_rotation_targets(g, p, a_cap=4, total_target=total_target)
+    pairs = targets.pairs()
+    assert sorted({a for a, _ in pairs}) == sorted(fam.chains)[:4]
+    for a in sorted(fam.chains)[:4]:
+        runs_a = rotated_runs(refold(p, whole, fam.chains[a]), -1)
+        p_a = runs_path(p, runs_a)
+        fam2 = endpoint_family(g, p_a, total_target=total_target)
+        assert [b for a2, b in pairs if a2 == a] == sorted(fam2.chains)
+        for b, step in fam2.chains.items():
+            runs = targets.pair_runs[(a, b)]
+            assert runs == refold(p, runs_a, step)
+            check_maximal(runs)
+            ppath = targets.pair_path((a, b))
+            assert (ppath.first, ppath.last) == (a, b)
+            assert ppath == replay(g, p_a, step)
 
 
 def record(pair, layout):
@@ -284,25 +263,18 @@ F, R = False, True
 
 
 @pytest.mark.parametrize(
-    "records, must, want",
+    "records, want",
     [
         # ties go to the larger entries, on the segment and then on the flag
         ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(0, F), (1, F)])],
-         None, (((2, F), (3, F)), {(0, 1)})),
+         (((2, F), (3, F)), {(0, 1)})),
         ([record((0, 1), [(2, F), (3, F)]), record((0, 2), [(2, F), (3, R)])],
-         None, (((2, F), (3, R)), {(0, 2)})),
-        # must_include drops the unfiltered winner, or every sequence
-        (
-            [record((0, 1), [(0, F), (1, F)]), record((0, 2), [(0, F), (1, F)]),
-             record((0, 3), [(1, F), (2, R)])],
-            2, (((1, F), (2, R)), {(0, 3)}),
-        ),
-        ([record((0, 1), [(0, F), (1, F)])], 3, (None, set())),
+         (((2, F), (3, R)), {(0, 2)})),
         # a reversed and a forward entry of one segment are different entries
         (
             [record((0, 1), [(0, F), (1, R)]), record((0, 2), [(0, F), (1, F)]),
              record((0, 3), [(0, F), (1, R)])],
-            None, (((0, F), (1, R)), {(0, 1), (0, 3)}),
+            (((0, F), (1, R)), {(0, 1), (0, 3)}),
         ),
         # a layout holds the winner without its entries being adjacent; the
         # same segments out of order or with another flag do not
@@ -310,42 +282,23 @@ F, R = False, True
             [record((0, 1), [(2, F), (5, R), (3, F)]), record((0, 2), [(2, F), (3, F)]),
              record((0, 3), [(0, F), (1, F)]), record((0, 4), [(3, F), (2, F)]),
              record((0, 5), [(2, R), (3, F)])],
-            None, (((2, F), (3, F)), {(0, 1), (0, 2)}),
+            (((2, F), (3, F)), {(0, 1), (0, 2)}),
         ),
-        # the same with must_include: the unfiltered winner ((1, F), (4, F))
-        # is held by three pairs, (0, 1) with an entry between, and the
-        # winner filtered on segment 5 by (0, 1) and (0, 6), by (0, 6) with
-        # an entry between; (0, 3) holds ((0, F), (5, F)) only out of order
-        *(
-            (
-                [record((0, 1), [(1, F), (5, F), (4, F)]),
-                 record((0, 2), [(0, F), (3, F), (5, F)]), record((0, 3), [(5, F), (0, F)]),
-                 record((0, 4), [(1, F), (4, F)]), record((0, 5), [(1, F), (4, F)]),
-                 record((0, 6), [(1, F), (0, F), (5, F)])],
-                must, want,
-            )
-            for must, want in (
-                (None, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
-                (4, (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)})),
-                (5, (((1, F), (5, F)), {(0, 1), (0, 6)})),
-            )
+        # the winner ((1, F), (4, F)) is held by three pairs, (0, 1) with an
+        # entry between; (0, 3) holds ((0, F), (5, F)) only out of order
+        (
+            [record((0, 1), [(1, F), (5, F), (4, F)]),
+             record((0, 2), [(0, F), (3, F), (5, F)]), record((0, 3), [(5, F), (0, F)]),
+             record((0, 4), [(1, F), (4, F)]), record((0, 5), [(1, F), (4, F)]),
+             record((0, 6), [(1, F), (0, F), (5, F)])],
+            (((1, F), (4, F)), {(0, 1), (0, 4), (0, 5)}),
         ),
     ],
 )
-def test_select_sigma0_edge_cases(records, must, want):
+def test_select_sigma0_edge_cases(records, want):
     layouts = dict(records)
-    sigma0, pairs = select_sigma0(layouts, must_include=must)
-    assert (sigma0, pairs) == reference_select_sigma0(layouts, must_include=must)
+    sigma0, pairs = select_sigma0(layouts)
+    assert (sigma0, pairs) == reference_select_sigma0(layouts)
     assert (sigma0, pairs) == want
     if sigma0 is not None:
         assert all(type(rev) is bool for _, rev in sigma0)
-
-
-def test_segment_index_of_matches_the_segments():
-    p = Path((3, 0, 7, 1, 5, 2, 6, 4, 8))
-    for rho, protected in ((1, None), (2, None), (4, None), (2, (1, 5)), (4, (5, 2))):
-        dec = decompose(p, rho, protected_edge=protected)
-        for v in p.vertices:
-            assert v in dec.segments[dec.segment_index_of(v)]
-    with pytest.raises(KeyError):
-        dec.segment_index_of(9)

@@ -219,9 +219,7 @@ def test_double_rotation_targets_c5():
         assert validate_path(g, p.vertices)
 
 
-def eager_endpoint_family(
-    g, path, d=9.0, total_target=None, surplus=2.0, protected_edge=None, stats=None, over=None
-):
+def eager_endpoint_family(g, path, d=9.0, total_target=None, surplus=2.0, stats=None, over=None):
     """The layered builder that rotated the runs of every placed candidate
     and built its step before the layer was trimmed."""
     if total_target is None:
@@ -252,12 +250,9 @@ def eager_endpoint_family(
                 continue
             new_runs = rotated_runs(runs, idx)
             ep = seq[new_runs[-1][1]]
-            broken = edge_key(pivot, ep)
-            if broken == protected_edge:
-                continue
             if ep in used or ep in placed or ep == fixed:
                 continue
-            step = RotationStep(pivot, broken, ep, fam.chains[src])
+            step = RotationStep(pivot, edge_key(pivot, ep), ep, fam.chains[src])
             placed[ep] = (new_runs, step)
             if stats is not None:
                 stats["rotations"] = stats.get("rotations", 0) + 1
@@ -276,8 +271,8 @@ def eager_endpoint_family(
 
 
 def family_cases():
-    """Seeded gnp graphs with a maximal path each, a protected edge of the
-    path on every other graph, and the family options to build with."""
+    """Seeded gnp graphs with a maximal path each and the family options to
+    build with."""
     rng = random.Random(29)
     for i in range(40):
         n = rng.randint(20, 70)
@@ -285,18 +280,14 @@ def family_cases():
         p = extend(g, Path((rng.randrange(n),)), rng)
         if len(p) < 4:
             continue
-        protected = None
-        if i % 2:
-            k = rng.randrange(len(p) - 1)
-            protected = edge_key(p[k], p[k + 1])
         kw = dict(d=rng.choice([6.0, 9.0, 12.0]), surplus=rng.choice([1.0, 2.0]))
-        yield g, p, protected, kw
+        yield g, p, kw
 
 
 def test_endpoint_family_matches_the_eager_builder():
     trimmed = 0
-    for g, p, protected, kw in family_cases():
-        kw = dict(kw, total_target=len(p), protected_edge=protected)
+    for g, p, kw in family_cases():
+        kw = dict(kw, total_target=len(p))
         stats, ref_stats = {}, {}
         fam = endpoint_family(g, p, stats=stats, **kw)
         ref = eager_endpoint_family(g, p, stats=ref_stats, **kw)
@@ -353,8 +344,7 @@ def chain_length(fam, v):
 
 
 def test_pair_rotations_are_the_chain_lengths():
-    for g, p, protected, kw in family_cases():
-        kw = dict(kw, protected_edge=protected)
+    for g, p, kw in family_cases():
         out = double_rotation_targets(g, p, a_cap=4, **kw)
         fam1 = endpoint_family(g, p, **kw)
         assert out.pairs()
