@@ -55,7 +55,6 @@ CLOSURE_BUDGET = 4000  # state budget of each pivot audit and model closure
 
 @dataclass(frozen=True)
 class SegmentDecomposition:
-    base: Path
     segments: tuple  # 2*rho contiguous runs, in base order
     seg_of: tuple  # base position -> index of the segment holding it
     starts: tuple  # base position where each segment starts, then len(base)
@@ -81,7 +80,7 @@ def decompose(path, rho):
     segments = tuple(path.vertices[a:b] for a, b in bounds)
     seg_of = tuple(i for i, (a, b) in enumerate(bounds) for _ in range(a, b))
     starts = tuple(a for a, _ in bounds) + (q,)
-    return SegmentDecomposition(path, segments, seg_of, starts)
+    return SegmentDecomposition(segments, seg_of, starts)
 
 
 def unbroken_segments(dec, runs):

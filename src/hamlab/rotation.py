@@ -1,8 +1,11 @@
 """Rotation-extension core: single rotations, the mutable path buffer
 `PathBuf` and the greedy extension loop on it, two-sided endpoint pairs, and
 the rotation engine: `closure`, the one breadth-first search over rotated
-vertex tuples, and `endpoint_family`, the one layered endpoint-family
-builder.
+paths, and `endpoint_family`, the one layered endpoint-family builder.
+`closure` holds each path as a string of vertex codes, chr(v) for vertex v,
+so a rotation and a seen-state test run on `str` slices and cached hashes;
+it never tries the rotation back to a state's parent, and it returns as soon
+as its state budget decides that the result is incomplete.
 
 Conventions: a path's fixed endpoint is its first vertex; the mobile endpoint
 is its last.  Pivot positions are 0-based indices into the path; a rotation at
@@ -504,6 +507,9 @@ class ClosureResult:
     witness: dict  # endpoint -> first tuple found ending there
 
 
+CODE_LIMIT = 0x110000  # `chr`'s range: a closure state codes vertex v as chr(v)
+
+
 def closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=None):
     """Breadth-first search over the tuples reachable from the vertex tuple
     `start` by rotations that keep its first vertex fixed.
@@ -511,53 +517,76 @@ def closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=Non
     Endpoints in `exclude` are not collected; rotations that would break an
     edge in `forbidden` are skipped; broken edges of the accepted rotations
     are added to `log`.  Each collected endpoint keeps the first tuple found
-    ending there as its witness.  At most `budget` states are visited: a new
-    state beyond it is skipped without being marked seen, and the result is
-    then incomplete.  With `stop_at`, the search also stops incomplete at the
-    start of the first level that begins with that many endpoints.
+    ending there as its witness.  At most `budget` states are visited: the
+    first new state beyond it ends the search, incomplete.  With `stop_at`,
+    the search also stops incomplete at the start of the first level that
+    begins with that many endpoints.
+
+    A state is a `str` holding chr(v) for each vertex v, so a rotation is
+    two slices and each state hashes once; a start vertex outside
+    range(CODE_LIMIT) raises `ValueError` before any search.  The codes of
+    an endpoint's neighbours are built the first time it ends a state.  A
+    state never tries the pivot that made it: that rotation only leads back
+    to its parent.  Witnesses are returned as vertex tuples.
     """
-    q = len(start)
-    seen = {start}
-    frontier = [start]
+    try:
+        code = "".join(map(chr, start))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"closure needs vertex ids in range({CODE_LIMIT:#x})") from exc
+    lim = len(code) - 2  # a pivot sits at a position below q - 2
+    check = bool(forbidden) or log is not None
+    near = {}  # endpoint code -> its neighbours' codes, in `g.neighbors` order
+    seen = {code}
+    frontier = [(code, None)]  # a state and the pivot code that made it
     witness = {}
     if start[-1] not in exclude:
-        witness[start[-1]] = start
+        witness[code[-1]] = code
     states = 1
-    complete = True
     while frontier:
         if stop_at is not None and len(witness) >= stop_at:
-            complete = False
-            break
+            return _closure_result(witness, False, states)
         nxt = []
-        for seq in frontier:
-            for u in g.neighbors(seq[-1]):
-                # pivot must sit at position <= q-3
-                try:
-                    i = seq.index(u)
-                except ValueError:
+        for seq, back in frontier:
+            end = seq[-1]
+            codes = near.get(end)
+            if codes is None:
+                codes = near[end] = [
+                    chr(u) for u in g.neighbors(ord(end)) if u < CODE_LIMIT
+                ]
+            for c in codes:
+                if c == back:
                     continue
-                if i > q - 3:
+                i = seq.find(c, 0, lim)
+                if i < 0:
                     continue
-                if forbidden or log is not None:
-                    broken = edge_key(seq[i], seq[i + 1])
+                if check:
+                    a, b = ord(c), ord(seq[i + 1])
+                    broken = (a, b) if a < b else (b, a)
                     if broken in forbidden:
                         continue
-                child = rotated(seq, i)
+                child = seq[: i + 1] + seq[:i:-1]
                 if child in seen:
                     continue
                 if states >= budget:
-                    complete = False
-                    continue
+                    return _closure_result(witness, False, states)
                 if log is not None:
                     log.add(broken)
                 seen.add(child)
                 states += 1
                 ep = child[-1]
-                if ep not in exclude and ep not in witness:
+                if ep not in witness and ord(ep) not in exclude:
                     witness[ep] = child
-                nxt.append(child)
+                nxt.append((child, c))
         frontier = nxt
-    return ClosureResult(set(witness), complete, states, witness)
+    return _closure_result(witness, True, states)
+
+
+def _closure_result(witness, complete, states):
+    """The `ClosureResult` of coded witnesses, decoded to vertex tuples."""
+    decoded = {}
+    for e, seq in witness.items():
+        decoded[ord(e)] = tuple(map(ord, seq))
+    return ClosureResult(set(decoded), complete, states, decoded)
 
 
 def endpoint_closure_oracle(g, path, max_states=200000):

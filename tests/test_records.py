@@ -38,16 +38,17 @@ from chains import replay
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def reference_unbroken_segments(dec, path):
+def reference_unbroken_segments(dec, base, path):
     """The record stage that rebuilt the edge set of the whole path: the
-    broken base edges, and the (segment, reversed?, start position) entries
-    of the unbroken segments in order of appearance."""
+    broken edges of `base`, the path `dec` decomposes, and the (segment,
+    reversed?, start position) entries of the unbroken segments in order of
+    appearance."""
     pos = path.pos
     present = set()
     seq = path.vertices
     for a, b in zip(seq, seq[1:]):
         present.add(edge_key(a, b))
-    base_seq = dec.base.vertices
+    base_seq = base.vertices
     broken = frozenset(
         e
         for e in (edge_key(a, b) for a, b in zip(base_seq, base_seq[1:]))
@@ -167,7 +168,7 @@ def test_chain_records_equal_the_whole_path_records(case, chains):
     for k, moves in enumerate(chains):
         cur, runs, steps = rotation_chain(g, p, moves)
         pair = (cur.first, cur.last) if k % 2 else (k, cur.last)
-        broken, found = reference_unbroken_segments(dec, cur)
+        broken, found = reference_unbroken_segments(dec, p, cur)
         assert unbroken_segments(dec, runs) == coded(found)
         # a run boundary breaks exactly one base edge, and a rotation makes at most one
         assert len(broken) == len(runs) - 1 <= len(steps)
@@ -185,7 +186,7 @@ def test_pair_chains_give_the_whole_path_records(case, total_target):
         ppath = targets.pair_path(pair)
         assert (ppath.first, ppath.last) == pair
         runs = targets.pair_runs[pair]
-        broken, found = reference_unbroken_segments(dec, ppath)
+        broken, found = reference_unbroken_segments(dec, p, ppath)
         assert unbroken_segments(dec, runs) == coded(found)
         assert len(broken) == len(runs) - 1 <= targets.pair_rotations[pair]
     fam = endpoint_family(g, p, total_target=total_target)
@@ -204,18 +205,18 @@ class Untouchable:
 
 
 def test_layouts_read_no_vertex_tuple():
-    """The record stage reads only `seg_of` and `starts`: with the base path
-    and the segments unreadable it still gives every pair's layout, so it
-    touches no vertex tuple and builds no edge key."""
+    """The record stage reads only `seg_of` and `starts`: with the segments
+    unreadable it still gives every pair's layout, so it touches no vertex
+    tuple and builds no edge key."""
     g = gnp(60, 5 * math.log(60) / 60, seed="layouts:blind")
     p = extend(g, Path((0,)))
     targets = double_rotation_targets(g, p, a_cap=4)
     assert len(targets.pairs()) > 10
     for rho in (1, 3, len(p) // 2):
         dec = decompose(p, rho)
-        blind = dataclasses.replace(dec, base=Untouchable(), segments=Untouchable())
+        blind = dataclasses.replace(dec, segments=Untouchable())
         for pair in targets.pairs():
-            _, found = reference_unbroken_segments(dec, targets.pair_path(pair))
+            _, found = reference_unbroken_segments(dec, p, targets.pair_path(pair))
             assert unbroken_segments(blind, targets.pair_runs[pair]) == coded(found)
 
 

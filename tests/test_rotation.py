@@ -123,6 +123,128 @@ def test_closure_oracle_budget_flag():
     assert res.endpoints  # partial set still returned
 
 
+def reference_closure(g, start, *, exclude=(), forbidden=(), stop_at=None, budget, log=None):
+    """The closure BFS on vertex tuples that the string-coded one replaced:
+    every neighbour of every state's endpoint is tried, and a state beyond
+    the budget is skipped without being marked seen while the levels run
+    on to the end."""
+    q = len(start)
+    seen = {start}
+    frontier = [start]
+    witness = {}
+    if start[-1] not in exclude:
+        witness[start[-1]] = start
+    states = 1
+    complete = True
+    while frontier:
+        if stop_at is not None and len(witness) >= stop_at:
+            complete = False
+            break
+        nxt = []
+        for seq in frontier:
+            for u in g.neighbors(seq[-1]):
+                try:
+                    i = seq.index(u)
+                except ValueError:
+                    continue
+                if i > q - 3:
+                    continue
+                if forbidden or log is not None:
+                    broken = edge_key(seq[i], seq[i + 1])
+                    if broken in forbidden:
+                        continue
+                child = rotation.rotated(seq, i)
+                if child in seen:
+                    continue
+                if states >= budget:
+                    complete = False
+                    continue
+                if log is not None:
+                    log.add(broken)
+                seen.add(child)
+                states += 1
+                ep = child[-1]
+                if ep not in exclude and ep not in witness:
+                    witness[ep] = child
+                nxt.append(child)
+        frontier = nxt
+    return rotation.ClosureResult(set(witness), complete, states, witness)
+
+
+def closure_cases():
+    """Seeded gnp(4..14) graphs, each with a start tuple (a maximal path, or
+    any vertex tuple) and two draws of the closure options, the second with
+    no early stop and a budget of 200 or 2 000, so that it searches deep."""
+    rng = random.Random(43)
+    for k in range(320):
+        n = rng.randint(4, 14)
+        g = gnp(n, rng.uniform(0.2, 0.9), seed=f"closure:{k}")
+        if rng.random() < 0.7:
+            start = extend(g, Path((rng.randrange(n),)), rng).vertices
+        else:
+            start = tuple(rng.sample(range(n), rng.randint(1, n)))
+        edges = [edge_key(a, b) for a, b in zip(start, start[1:])] + sorted(g.edges)
+        for deep in (False, True):
+            kw = dict(
+                exclude=tuple(rng.sample(range(n), rng.randint(0, 2))),
+                forbidden=set(rng.sample(edges, min(rng.randint(0, 3), len(edges)))),
+                stop_at=None if deep else rng.choice([None, 1, 2, 4]),
+                budget=rng.choice([200, 2000] if deep else [1, 2, 10, 200, 2000]),
+            )
+            yield g, start, kw, rng.random() < 0.5
+
+
+def test_closure_matches_the_tuple_bfs():
+    cut = stopped = logged = 0
+    for g, start, kw, with_log in closure_cases():
+        log, ref_log = (set(), set()) if with_log else (None, None)
+        got = rotation.closure(g, start, log=log, **kw)
+        want = reference_closure(g, start, log=ref_log, **kw)
+        assert got == want, (start, kw)
+        assert log == ref_log
+        for v, seq in got.witness.items():
+            assert type(seq) is tuple and seq[0] == start[0] and seq[-1] == v
+        cut += not got.complete and got.states == kw["budget"]
+        stopped += not got.complete and got.states < kw["budget"]
+        logged += bool(log)
+    # the budget cut, the early stop and the log each decide many cases
+    assert cut >= 50 and stopped >= 50 and logged >= 50, (cut, stopped, logged)
+
+
+def test_closure_budget_equal_to_the_reachable_states_completes():
+    g, start = complete(5), (0, 1, 2, 3, 4)
+    full = rotation.closure(g, start, budget=10**6)
+    assert full.complete and full.states == 24  # every order after the fixed 0
+    assert rotation.closure(g, start, budget=full.states) == full
+    short = rotation.closure(g, start, budget=full.states - 1)
+    assert not short.complete and short.states == full.states - 1
+
+
+class StubGraph:
+    """A graph stand-in with no edges that records the vertices read."""
+
+    def __init__(self):
+        self.read = []
+
+    def neighbors(self, v):
+        self.read.append(v)
+        return ()
+
+
+def test_closure_rejects_vertex_ids_past_chr():
+    g = StubGraph()
+    with pytest.raises(ValueError, match="0x110000"):
+        rotation.closure(g, (0, 5, 0x110000), budget=10)
+    with pytest.raises(ValueError, match="0x110000"):
+        rotation.closure(g, (0x110000 + 7, 1), budget=10)
+    with pytest.raises(ValueError, match="0x110000"):
+        rotation.closure(g, (1, -1), budget=10)
+    assert g.read == []  # refused before any search
+    top = rotation.CODE_LIMIT - 1  # the largest id a state can hold
+    res = rotation.closure(g, (0, top), budget=10)
+    assert res.witness == {top: (0, top)} and res.complete and g.read == [top]
+
+
 def test_endpoint_family_pentagon():
     fam = endpoint_family(pentagon(), Path((0, 1, 2, 3, 4)), total_target=5)
     assert [sorted(layer) for layer in fam.layers] == [[4], [1]]
